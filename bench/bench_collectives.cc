@@ -7,7 +7,9 @@
 // check asserts on.
 //
 // A second section measures the compressed data plane (DESIGN.md §5i):
-// bytes-on-wire per codec for a 1M-float all-reduce, and the end-of-run
+// wall time and bytes-on-wire per codec for a 1M-float all-reduce, each
+// also relative to the fp32 ring (`time_ratio_vs_fp32`, below 1 when the
+// codec pays for itself in-process), and the end-of-run
 // training-loss delta each codec costs versus fp32 for CON/DYN/AR under
 // both engines. CI asserts int8 >= 3.5x and fp16 >= 1.9x bytes reduction
 // and <= 2% loss delta for fp16/int8 (top-k is reported, not gated).
@@ -246,12 +248,13 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   const size_t compress_floats = size_t{1} << 20;
   pr::TablePrinter compress_table(
-      {"codec", "best (ms)", "MB sent", "bytes vs fp32"});
+      {"codec", "best (ms)", "time vs fp32", "MB sent", "bytes vs fp32"});
   json.Key("compression").BeginObject();
   json.Key("floats").UInt(compress_floats);
   json.Key("codecs").BeginArray();
-  double none_bytes = 0.0;
+  double none_bytes = 0.0, none_seconds = 0.0;
   double fp16_ratio = 0.0, int8_ratio = 0.0, topk_ratio = 0.0;
+  double fp16_time_ratio = 0.0, int8_time_ratio = 0.0;
   for (pr::CompressionKind codec : kCodecs) {
     // One compressor per member, shared across reps (residuals persist, but
     // blob sizes — the thing measured here — are input-independent).
@@ -265,18 +268,33 @@ int main(int argc, char** argv) {
     };
     AlgoResult r = RunAlgo(pr::CompressionKindName(codec), members,
                            compress_floats, reps, compressed);
-    if (codec == pr::CompressionKind::kNone) none_bytes = r.bytes_sent;
+    if (codec == pr::CompressionKind::kNone) {
+      none_bytes = r.bytes_sent;
+      none_seconds = r.seconds;
+    }
     const double ratio = r.bytes_sent > 0.0 ? none_bytes / r.bytes_sent : 0.0;
-    if (codec == pr::CompressionKind::kFp16) fp16_ratio = ratio;
-    if (codec == pr::CompressionKind::kInt8) int8_ratio = ratio;
+    // Wall time relative to the fp32 ring: below 1 means the codec pays for
+    // itself on this transport.
+    const double time_ratio = none_seconds > 0.0 ? r.seconds / none_seconds
+                                                 : 0.0;
+    if (codec == pr::CompressionKind::kFp16) {
+      fp16_ratio = ratio;
+      fp16_time_ratio = time_ratio;
+    }
+    if (codec == pr::CompressionKind::kInt8) {
+      int8_ratio = ratio;
+      int8_time_ratio = time_ratio;
+    }
     if (codec == pr::CompressionKind::kTopK) topk_ratio = ratio;
     json.BeginObject();
     json.Key("codec").String(r.algo);
     json.Key("best_seconds").Number(r.seconds);
+    json.Key("time_ratio_vs_fp32").Number(time_ratio);
     json.Key("bytes_sent").Number(r.bytes_sent);
     json.Key("bytes_ratio_vs_fp32").Number(ratio);
     json.EndObject();
     compress_table.AddRow({r.algo, pr::FormatDouble(r.seconds * 1e3, 3),
+                           pr::FormatDouble(time_ratio, 2) + "x",
                            pr::FormatDouble(r.bytes_sent / (1024.0 * 1024.0),
                                             2),
                            pr::FormatDouble(ratio, 2) + "x"});
@@ -363,6 +381,8 @@ int main(int argc, char** argv) {
       "topk %.2fx; worst fp16/int8 loss delta %.3f%%\n",
       compress_floats, fp16_ratio, int8_ratio, topk_ratio,
       max_gated_delta * 100.0);
+  std::printf("ring time vs fp32 at %zu floats: fp16 %.2fx, int8 %.2fx\n",
+              compress_floats, fp16_time_ratio, int8_time_ratio);
   if (!pr::WriteTextFile(out_path, json.str())) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;

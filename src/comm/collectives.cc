@@ -367,7 +367,7 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
   };
   // Unlike the raw ring, the payload length is *not* asserted on receive:
   // blob sizes are codec-dependent (top-k blobs scale with k, not the
-  // segment length). DecodeInto validates the decoded element count instead,
+  // segment length). The decoders validate the element count instead,
   // turning a mismatched blob into an error status rather than a crash.
   auto recv_seg = [&](int kind, size_t step, size_t chunk,
                       size_t j) -> std::optional<Buffer> {
@@ -379,13 +379,13 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     return std::move(env->payload);
   };
 
-  std::vector<float> scratch;
-
   // Reduce-scatter. Step 0 encodes this member's own chunk; every later hop
-  // decodes the incoming partial sum, folds in its own (pre-scaled)
-  // contribution, and re-encodes. Each re-encode's loss is charged to this
-  // member's error-feedback residual at those element positions and folded
-  // into its next encode there.
+  // decodes the incoming partial sum straight onto its own (pre-scaled)
+  // contribution in `data` and re-encodes from there. Overwriting `data` is
+  // safe: each contribution is read exactly once, and the all-gather
+  // rewrites every chunk but the owned one, which ends fully reduced. Each
+  // re-encode's loss is charged to this member's error-feedback residual at
+  // those element positions and folded into its next encode there.
   {
     auto [ob, oe] = ChunkBounds(n, p, my_index);
     const size_t nseg = NumSegments(oe - ob, segment_floats);
@@ -409,18 +409,15 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
         return Status::Cancelled("transport shut down during reduce-scatter");
       }
       const size_t len = se - sb;
-      scratch.resize(len);
-      PR_RETURN_NOT_OK(compressor->DecodeInto(*got, scratch.data(), len));
-      if (len > 0) Axpy(1.0f, data + sb, scratch.data(), len);
+      PR_RETURN_NOT_OK(
+          compressor->DecodeAccumulate(*got, data + sb, data + sb, len));
+      // On the final hop recv_chunk == owned: fully reduced, with the
+      // owner's own contribution added exactly (never re-encoded before the
+      // all-gather).
       if (!final_hop) {
         PR_RETURN_NOT_OK(
             send_seg(kKindSegRsChunk, step + 1, recv_chunk, j,
-                     compressor->EncodeRange(scratch.data(), sb, len)));
-      } else {
-        // recv_chunk == owned: fully reduced. The owner's own contribution
-        // was just added exactly (never re-encoded before the all-gather).
-        if (len > 0) std::copy(scratch.data(), scratch.data() + len,
-                               data + sb);
+                     compressor->EncodeRange(data + sb, sb, len)));
       }
     }
   }

@@ -1,7 +1,9 @@
 #include "compress/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -9,19 +11,22 @@
 namespace pr {
 namespace {
 
+// The int8 and fp16 kernels write quantized bytes and halves straight into
+// the blob's memory, which matches the word-packing below (element j of a
+// word in bits 8j.. or 16j..) only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "codec kernels assume a little-endian host");
+
 // ---------------------------------------------------------------------------
 // Word-level blob access. Blobs are float-backed Buffers treated as raw
-// 4-byte words; all access goes through memcpy so no float operation ever
-// touches (and possibly quietens) the packed integer bits.
+// 4-byte words; all access goes through memcpy (or unsigned-char pointers)
+// so no float operation ever touches (and possibly quietens) the packed
+// integer bits.
 // ---------------------------------------------------------------------------
 
-void PutWord(std::vector<float>* words, uint32_t w) {
-  float f;
-  std::memcpy(&f, &w, sizeof(f));
-  words->push_back(f);
+void SetWord(float* words, size_t i, uint32_t w) {
+  std::memcpy(words + i, &w, sizeof(w));
 }
-
-void PutFloatWord(std::vector<float>* words, float v) { words->push_back(v); }
 
 uint32_t GetWord(const Buffer& blob, size_t i) {
   uint32_t w;
@@ -31,62 +36,109 @@ uint32_t GetWord(const Buffer& blob, size_t i) {
 
 float GetFloatWord(const Buffer& blob, size_t i) { return blob[i]; }
 
-// ---------------------------------------------------------------------------
-// Software IEEE-754 half conversion (portable: no F16C/NEON intrinsics, so
-// encodes are bitwise identical across every host this repo builds on).
-// ---------------------------------------------------------------------------
-
-uint16_t FloatToHalf(float f) {
-  uint32_t x;
-  std::memcpy(&x, &f, sizeof(x));
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  const uint32_t exp = (x >> 23) & 0xffu;
-  uint32_t mant = x & 0x7fffffu;
-  if (exp == 0xffu) {  // inf / nan (keep nan-ness in the top mantissa bit)
-    return sign | 0x7c00u | (mant != 0 ? 0x200u : 0u);
-  }
-  const int e = static_cast<int>(exp) - 127 + 15;
-  if (e >= 31) return sign | 0x7c00u;  // overflow -> inf
-  if (e <= 0) {
-    if (e < -10) return sign;  // underflow -> signed zero
-    mant |= 0x800000u;         // make the implicit bit explicit
-    const uint32_t shift = static_cast<uint32_t>(14 - e);
-    uint16_t h = static_cast<uint16_t>(mant >> shift);
-    if ((mant >> (shift - 1)) & 1u) ++h;  // round half away from zero
-    return sign | h;
-  }
-  uint16_t h = static_cast<uint16_t>((e << 10) | (mant >> 13));
-  // Round half away from zero; a carry ripples into the exponent, which is
-  // exactly the correct rounding (1.11..1 * 2^e -> 2^(e+1)).
-  if (mant & 0x1000u) ++h;
-  return sign | h;
+unsigned char* WordBytes(float* words, size_t i) {
+  return reinterpret_cast<unsigned char*>(words + i);
 }
 
-float HalfToFloat(uint16_t h) {
-  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1fu;
-  uint32_t mant = h & 0x3ffu;
-  uint32_t x;
-  if (exp == 0) {
-    if (mant == 0) {
-      x = sign;
-    } else {  // subnormal half: renormalize into a normal float
-      int e = -1;
-      do {
-        mant <<= 1;
-        ++e;
-      } while ((mant & 0x400u) == 0);
-      mant &= 0x3ffu;
-      x = sign | (static_cast<uint32_t>(127 - 15 - e) << 23) | (mant << 13);
-    }
-  } else if (exp == 31) {
-    x = sign | 0x7f800000u | (mant << 13);
-  } else {
-    x = sign | ((exp - 15 + 127) << 23) | (mant << 13);
+const unsigned char* WordBytes(const Buffer& blob, size_t i) {
+  return reinterpret_cast<const unsigned char*>(blob.data() + i);
+}
+
+/// A zero-filled blob of `words` words with word 0 = `n`. The zero fill is
+/// what leaves the unused bytes of a ragged last word zero.
+std::vector<float> NewBlob(size_t words, size_t n) {
+  std::vector<float> blob(words, 0.0f);
+  SetWord(blob.data(), 0, static_cast<uint32_t>(n));
+  return blob;
+}
+
+/// The checks every blob shares: a count word that names `n` elements, and
+/// exactly `expected_bytes` of payload.
+Status CheckCountAndSize(const Buffer& blob, size_t n, size_t expected_bytes,
+                         const char* codec) {
+  if (blob.empty()) {
+    return Status::InvalidArgument(std::string(codec) + " blob: empty");
   }
-  float f;
-  std::memcpy(&f, &x, sizeof(f));
-  return f;
+  if (blob.size() * sizeof(float) != expected_bytes ||
+      GetWord(blob, 0) != n) {
+    return Status::InvalidArgument(std::string(codec) +
+                                   " blob: size/count mismatch");
+  }
+  return Status::OK();
+}
+
+// The per-chunk kernels below are built twice on x86-64 GCC, once for the
+// baseline ISA and once for AVX2 (without FMA, so no multiply-add is ever
+// contracted), and the loader picks one for the host. Every kernel is
+// element-wise IEEE arithmetic plus a fixed-lane min/max, so both builds
+// produce bitwise identical blobs, residuals and decoded values. Thread-
+// sanitizer builds keep only the baseline: TSan instruments the loader's
+// resolver, which then runs before the TSan runtime is up and crashes.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__linux__) && !defined(__SANITIZE_THREAD__)
+#define PR_CODEC_KERNEL __attribute__((target_clones("avx2", "default")))
+#else
+#define PR_CODEC_KERNEL
+#endif
+
+// Chunking shared by the fused kernels: each chunk is small enough that its
+// second pass reads from L1.
+constexpr size_t kChunk = kInt8ChunkElems;
+
+/// Branch-free select through bit masks. A plain `c ? a : b` feeding a
+/// float<->int conversion lets GCC push the conversion into one arm of a
+/// branch (it folds the other, constant arm), and a conversion left on a
+/// branch is not if-converted, so the loop stays scalar.
+inline int32_t Pick(bool c, int32_t a, int32_t b) {
+  const int32_t mask = -static_cast<int32_t>(c);
+  return (a & mask) | (b & ~mask);
+}
+
+inline float Pick(bool c, float a, float b) {
+  return std::bit_cast<float>(
+      Pick(c, std::bit_cast<int32_t>(a), std::bit_cast<int32_t>(b)));
+}
+
+// ---------------------------------------------------------------------------
+// Branch-free IEEE-754 half conversion (portable integer and exact float
+// arithmetic, no F16C/NEON intrinsics, so encodes are bitwise identical
+// across every host this repo builds on). Rounding is half away from zero
+// on the first dropped bit; that rule is part of the wire format.
+// ---------------------------------------------------------------------------
+
+inline uint32_t FloatToHalfBits(float f) {
+  const uint32_t x = std::bit_cast<uint32_t>(f);
+  const uint32_t sign = (x >> 16) & 0x8000u;
+  const int32_t a = static_cast<int32_t>(x & 0x7fffffffu);  // |f|
+  // Normal halves: rebias the exponent, keep 10 mantissa bits, and add the
+  // first dropped bit. A carry into the exponent is exactly the correct
+  // rounding (1.11..1 * 2^e -> 2^(e+1), and the largest finite -> inf).
+  const int32_t normal = (a >> 13) - ((127 - 15) << 10) + ((a >> 12) & 1);
+  // Subnormal halves and underflow to zero: |f| * 2^24 counts units of the
+  // smallest subnormal half. Its integer part and its first dropped bit
+  // (the integer part of |f| * 2^25) are exact conversions; the clamp keeps
+  // them in range for every input, whichever result is picked below.
+  const float af = std::bit_cast<float>(a);
+  const float c = Pick(af < 0x1p-14f, af, 0x1p-14f);
+  const int32_t subnormal = static_cast<int32_t>(c * 0x1p24f) +
+                            (static_cast<int32_t>(c * 0x1p25f) & 1);
+  int32_t h = Pick(a < 0x38800000, subnormal, normal);  // below 2^-14
+  h = Pick(a >= 0x47800000, 0x7c00, h);  // at or above 2^16: overflow, inf
+  h = Pick(a > 0x7f800000, 0x7e00, h);   // nan keeps its top mantissa bit
+  return sign | static_cast<uint32_t>(h);
+}
+
+inline float HalfBitsToFloat(uint32_t h) {
+  const uint32_t sign = (h & 0x8000u) << 16;
+  const int32_t em = static_cast<int32_t>(h & 0x7fffu);
+  // Rebias the exponent; inf and nan rebias twice, to 255.
+  const int32_t normal = (em << 13) + ((127 - 15) << 23) +
+                         Pick(em >= 0x7c00, (127 - 15) << 23, 0);
+  // Subnormal halves (and zero) are exactly em * 2^-24.
+  const int32_t subnormal =
+      std::bit_cast<int32_t>(static_cast<float>(em) * 0x1p-24f);
+  const int32_t bits = Pick(em < 0x400, subnormal, normal);
+  return std::bit_cast<float>(sign | static_cast<uint32_t>(bits));
 }
 
 // ---------------------------------------------------------------------------
@@ -94,38 +146,67 @@ float HalfToFloat(uint16_t h) {
 // (element 2j in the low 16 bits, 2j+1 in the high).
 // ---------------------------------------------------------------------------
 
+/// One chunk of the fp16 feedback encode: one conversion pass that writes
+/// the halves (straight into the blob, low byte first), the residual and
+/// the published values together.
+template <bool kFeedback, bool kPublish>
+PR_CODEC_KERNEL void Fp16EncodeChunk(const float* x, float* r, size_t len,
+                                     unsigned char* halves, float* publish) {
+  if constexpr (kFeedback) {
+    // Fold first, so a `publish` that aliases `x` is only written after `x`
+    // has been read.
+    for (size_t i = 0; i < len; ++i) r[i] = x[i] + r[i];
+  }
+  const float* send = kFeedback ? r : x;
+  for (size_t i = 0; i < len; ++i) {
+    const float s = send[i];
+    const uint32_t h = FloatToHalfBits(s);
+    halves[2 * i] = static_cast<unsigned char>(h);
+    halves[2 * i + 1] = static_cast<unsigned char>(h >> 8);
+    if constexpr (kFeedback || kPublish) {
+      const float d = HalfBitsToFloat(h);
+      if constexpr (kFeedback) r[i] = s - d;
+      if constexpr (kPublish) publish[i] = d;
+    }
+  }
+}
+
+template <bool kAdd>
+PR_CODEC_KERNEL void Fp16DecodeChunk(const uint16_t* halves, const float* add,
+                                     float* out, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    const float d = HalfBitsToFloat(halves[i]);
+    out[i] = kAdd ? d + add[i] : d;
+  }
+}
+
 class Fp16Codec : public Codec {
  public:
   CompressionKind kind() const override { return CompressionKind::kFp16; }
 
-  Buffer Encode(const float* x, size_t n) const override {
+  Buffer EncodeWithFeedback(const float* x, float* residual, size_t n,
+                            float* publish) const override {
     PR_CHECK(x != nullptr || n == 0);
-    std::vector<float> words;
-    words.reserve(1 + (n + 1) / 2);
-    PutWord(&words, static_cast<uint32_t>(n));
-    for (size_t i = 0; i < n; i += 2) {
-      uint32_t packed = FloatToHalf(x[i]);
-      if (i + 1 < n) {
-        packed |= static_cast<uint32_t>(FloatToHalf(x[i + 1])) << 16;
-      }
-      PutWord(&words, packed);
+    if (residual != nullptr) {
+      return publish != nullptr ? Run<true, true>(x, residual, n, publish)
+                                : Run<true, false>(x, residual, n, nullptr);
     }
-    return Buffer::FromVector(std::move(words));
+    return publish != nullptr ? Run<false, true>(x, nullptr, n, publish)
+                              : Run<false, false>(x, nullptr, n, nullptr);
   }
 
-  Status Decode(const Buffer& blob, std::vector<float>* out) const override {
-    PR_CHECK(out != nullptr);
-    if (blob.empty()) return Status::InvalidArgument("fp16 blob: empty");
-    const size_t n = GetWord(blob, 0);
-    if (blob.size() != 1 + (n + 1) / 2) {
-      return Status::InvalidArgument("fp16 blob: size/count mismatch");
-    }
-    out->resize(n);
-    for (size_t i = 0; i < n; i += 2) {
-      const uint32_t packed = GetWord(blob, 1 + i / 2);
-      (*out)[i] = HalfToFloat(static_cast<uint16_t>(packed & 0xffffu));
-      if (i + 1 < n) {
-        (*out)[i + 1] = HalfToFloat(static_cast<uint16_t>(packed >> 16));
+  Status DecodeAccumulate(const Buffer& blob, const float* add, float* out,
+                          size_t n) const override {
+    PR_RETURN_NOT_OK(CheckCountAndSize(blob, n, EncodedBytes(n), "fp16"));
+    PR_CHECK(out != nullptr || n == 0);
+    uint16_t halves[kChunk];
+    for (size_t begin = 0; begin < n; begin += kChunk) {
+      const size_t len = std::min(kChunk, n - begin);
+      std::memcpy(halves, WordBytes(blob, 1) + 2 * begin, 2 * len);
+      if (add != nullptr) {
+        Fp16DecodeChunk<true>(halves, add + begin, out + begin, len);
+      } else {
+        Fp16DecodeChunk<false>(halves, nullptr, out + begin, len);
       }
     }
     return Status::OK();
@@ -134,108 +215,291 @@ class Fp16Codec : public Codec {
   size_t EncodedBytes(size_t n) const override {
     return 4 * (1 + (n + 1) / 2);
   }
+
+ private:
+  template <bool kFeedback, bool kPublish>
+  Buffer Run(const float* x, float* residual, size_t n, float* publish) const {
+    std::vector<float> blob = NewBlob(EncodedBytes(n) / 4, n);
+    for (size_t begin = 0; begin < n; begin += kChunk) {
+      const size_t len = std::min(kChunk, n - begin);
+      Fp16EncodeChunk<kFeedback, kPublish>(
+          x + begin, kFeedback ? residual + begin : nullptr, len,
+          WordBytes(blob.data(), 1) + 2 * begin,
+          kPublish ? publish + begin : nullptr);
+    }
+    return Buffer::FromVector(std::move(blob));
+  }
 };
 
 // ---------------------------------------------------------------------------
 // int8 codec: word 0 = n, then per kInt8ChunkElems-element chunk a float
 // min word, a float scale word, and ceil(len/4) words of packed quantized
-// bytes. q = round_half_up((x - min) / scale) clamped to [0, 255].
+// bytes. q = round_half_up((x - min) / scale) clamped to [0, 255]; a chunk
+// whose scale is not positive (all values equal) quantizes to all zeros.
+//
+// Non-finite input has one defined encoding: a chunk holding a NaN takes
+// its first NaN as min and scale, and any quantized value that comes out
+// NaN (that chunk, or a range overflowing to inf, e.g. {-3e38, 3e38})
+// becomes 0. Both decode to NaN across the chunk, so the fault stays
+// visible instead of turning into plausible numbers.
 // ---------------------------------------------------------------------------
+
+struct ChunkRange {
+  float lo;
+  float hi;
+};
+
+/// The range as the plain sequential scan `lo = min(lo, s[i])`,
+/// `hi = max(hi, s[i])` defines it: the first element to reach an extreme
+/// wins, which decides the sign of a zero extreme. A NaN makes the first NaN
+/// both ends.
+ChunkRange SequentialRange(const float* s, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    if (s[i] != s[i]) return {s[i], s[i]};
+  }
+  float lo = s[0], hi = s[0];
+  for (size_t i = 1; i < len; ++i) {
+    lo = std::min(lo, s[i]);
+    hi = std::max(hi, s[i]);
+  }
+  return {lo, hi};
+}
+
+/// First pass of the int8 feedback encode over one chunk: folds `x` into the
+/// residual (which then holds `send`) and takes the range in lane-split
+/// form, so it vectorizes without reassociating anything. A lane-split
+/// min/max equals the sequential one except when an extreme is a signed
+/// zero; that case, infinities and NaNs (all caught by the `v - v` probe)
+/// take the sequential scan again.
+template <bool kFeedback>
+PR_CODEC_KERNEL ChunkRange FoldAndRange(const float* x, float* r, size_t len) {
+  constexpr size_t kLanes = 16;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  float lo[kLanes], hi[kLanes], probe[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) {
+    lo[k] = kInf;
+    hi[k] = -kInf;
+    probe[k] = 0.0f;
+  }
+  auto visit = [&](size_t i, size_t k) {
+    float v = x[i];
+    if constexpr (kFeedback) {
+      v = x[i] + r[i];
+      r[i] = v;
+    }
+    lo[k] = v < lo[k] ? v : lo[k];
+    hi[k] = hi[k] < v ? v : hi[k];
+    probe[k] = probe[k] + (v - v);  // nan iff v is inf or nan
+  };
+  size_t i = 0;
+  for (; i + kLanes <= len; i += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) visit(i + k, k);
+  }
+  for (; i < len; ++i) visit(i, 0);
+  ChunkRange range{lo[0], hi[0]};
+  float any = probe[0];
+  for (size_t k = 1; k < kLanes; ++k) {
+    range.lo = lo[k] < range.lo ? lo[k] : range.lo;
+    range.hi = range.hi < hi[k] ? hi[k] : range.hi;
+    any = any + probe[k];
+  }
+  if (any == 0.0f && range.lo != 0.0f && range.hi != 0.0f) return range;
+  return SequentialRange(kFeedback ? r : x, len);
+}
+
+/// Second pass: quantize `send`, and write the residual and published
+/// values from the same decoded value Decode would produce.
+template <bool kFeedback, bool kPublish>
+PR_CODEC_KERNEL void QuantizeChunk(const float* send, float lo, float scale,
+                                   size_t len, unsigned char* q, float* r,
+                                   float* publish) {
+  for (size_t i = 0; i < len; ++i) {
+    const float s = send[i];
+    float v = (s - lo) / scale + 0.5f;
+    v = Pick(v > 0.0f, v, 0.0f);  // also maps nan to 0
+    v = Pick(v < 255.0f, v, 255.0f);
+    const int32_t qi = static_cast<int32_t>(v);
+    q[i] = static_cast<unsigned char>(qi);
+    if constexpr (kFeedback || kPublish) {
+      const float d = lo + scale * static_cast<float>(qi);
+      if constexpr (kFeedback) r[i] = s - d;
+      if constexpr (kPublish) publish[i] = d;
+    }
+  }
+}
+
+template <bool kAdd>
+PR_CODEC_KERNEL void DequantizeChunk(const unsigned char* q, float lo,
+                                     float scale, const float* add, float* out,
+                                     size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    const float d = lo + scale * static_cast<float>(q[i]);
+    out[i] = kAdd ? d + add[i] : d;
+  }
+}
 
 class Int8Codec : public Codec {
  public:
   CompressionKind kind() const override { return CompressionKind::kInt8; }
 
-  Buffer Encode(const float* x, size_t n) const override {
+  Buffer EncodeWithFeedback(const float* x, float* residual, size_t n,
+                            float* publish) const override {
     PR_CHECK(x != nullptr || n == 0);
-    std::vector<float> words;
-    words.reserve(EncodedBytes(n) / 4);
-    PutWord(&words, static_cast<uint32_t>(n));
-    for (size_t begin = 0; begin < n; begin += kInt8ChunkElems) {
-      const size_t len = std::min(kInt8ChunkElems, n - begin);
-      const float* chunk = x + begin;
-      float lo = chunk[0], hi = chunk[0];
-      for (size_t i = 1; i < len; ++i) {
-        lo = std::min(lo, chunk[i]);
-        hi = std::max(hi, chunk[i]);
-      }
-      const float scale = (hi - lo) / 255.0f;
-      PutFloatWord(&words, lo);
-      PutFloatWord(&words, scale);
-      for (size_t i = 0; i < len; i += 4) {
-        uint32_t packed = 0;
-        for (size_t j = 0; j < 4 && i + j < len; ++j) {
-          uint32_t q = 0;
-          if (scale > 0.0f) {
-            const float v = (chunk[i + j] - lo) / scale + 0.5f;
-            q = v <= 0.0f ? 0u
-                          : std::min<uint32_t>(255u,
-                                               static_cast<uint32_t>(v));
-          }
-          packed |= q << (8 * j);
-        }
-        PutWord(&words, packed);
-      }
+    if (residual != nullptr) {
+      return publish != nullptr ? Run<true, true>(x, residual, n, publish)
+                                : Run<true, false>(x, residual, n, nullptr);
     }
-    return Buffer::FromVector(std::move(words));
+    return publish != nullptr ? Run<false, true>(x, nullptr, n, publish)
+                              : Run<false, false>(x, nullptr, n, nullptr);
   }
 
-  Status Decode(const Buffer& blob, std::vector<float>* out) const override {
-    PR_CHECK(out != nullptr);
-    if (blob.empty()) return Status::InvalidArgument("int8 blob: empty");
-    const size_t n = GetWord(blob, 0);
-    if (blob.size() * 4 != EncodedBytes(n)) {
-      return Status::InvalidArgument("int8 blob: size/count mismatch");
-    }
-    out->resize(n);
+  Status DecodeAccumulate(const Buffer& blob, const float* add, float* out,
+                          size_t n) const override {
+    PR_RETURN_NOT_OK(CheckCountAndSize(blob, n, EncodedBytes(n), "int8"));
+    PR_CHECK(out != nullptr || n == 0);
     size_t w = 1;
     for (size_t begin = 0; begin < n; begin += kInt8ChunkElems) {
       const size_t len = std::min(kInt8ChunkElems, n - begin);
-      const float lo = GetFloatWord(blob, w++);
-      const float scale = GetFloatWord(blob, w++);
-      for (size_t i = 0; i < len; i += 4) {
-        const uint32_t packed = GetWord(blob, w++);
-        for (size_t j = 0; j < 4 && i + j < len; ++j) {
-          const uint32_t q = (packed >> (8 * j)) & 0xffu;
-          (*out)[begin + i + j] = lo + scale * static_cast<float>(q);
-        }
+      const float lo = GetFloatWord(blob, w);
+      const float scale = GetFloatWord(blob, w + 1);
+      const unsigned char* q = WordBytes(blob, w + 2);
+      if (add != nullptr) {
+        DequantizeChunk<true>(q, lo, scale, add + begin, out + begin, len);
+      } else {
+        DequantizeChunk<false>(q, lo, scale, nullptr, out + begin, len);
       }
+      w += 2 + (len + 3) / 4;
     }
     return Status::OK();
   }
 
   size_t EncodedBytes(size_t n) const override {
-    size_t words = 1;
+    const size_t tail = n % kInt8ChunkElems;
+    const size_t words = 1 + (n / kInt8ChunkElems) * (2 + kInt8ChunkElems / 4) +
+                         (tail > 0 ? 2 + (tail + 3) / 4 : 0);
+    return 4 * words;
+  }
+
+ private:
+  template <bool kFeedback, bool kPublish>
+  Buffer Run(const float* x, float* residual, size_t n, float* publish) const {
+    std::vector<float> blob = NewBlob(EncodedBytes(n) / 4, n);
+    size_t w = 1;
     for (size_t begin = 0; begin < n; begin += kInt8ChunkElems) {
       const size_t len = std::min(kInt8ChunkElems, n - begin);
-      words += 2 + (len + 3) / 4;
+      float* r = kFeedback ? residual + begin : nullptr;
+      float* p = kPublish ? publish + begin : nullptr;
+      const ChunkRange range = FoldAndRange<kFeedback>(x + begin, r, len);
+      const float scale = (range.hi - range.lo) / 255.0f;
+      const float* send = kFeedback ? r : x + begin;
+      unsigned char* q = WordBytes(blob.data(), w + 2);
+      if (scale > 0.0f) {
+        QuantizeChunk<kFeedback, kPublish>(send, range.lo, scale, len, q, r,
+                                           p);
+      } else {
+        // Every q is 0 (the blob's zero fill) and decodes to the same value.
+        const float d = range.lo + scale * 0.0f;
+        for (size_t i = 0; i < len; ++i) {
+          if constexpr (kFeedback) r[i] = send[i] - d;
+          if constexpr (kPublish) p[i] = d;
+        }
+      }
+      blob[w] = range.lo;
+      blob[w + 1] = scale;
+      w += 2 + (len + 3) / 4;
     }
-    return 4 * words;
+    return Buffer::FromVector(std::move(blob));
   }
 };
 
 // ---------------------------------------------------------------------------
 // top-k codec: word 0 = n, word 1 = k, then k uint32 index words (strictly
 // ascending) and k float value words. Selection is deterministic: largest
-// |value| first, ties broken toward the lower index.
+// |value| first, ties broken toward the lower index; NaN ranks above every
+// magnitude, so a NaN is always sent.
 // ---------------------------------------------------------------------------
 
 size_t TopKCount(size_t n) {
   return n == 0 ? 0 : std::max<size_t>(1, n / kTopKDivisor);
 }
 
+/// |v| as an integer key: for non-NaN values its order is the order of the
+/// magnitudes, and NaNs sort above infinity, so the comparison below is a
+/// strict weak order whatever the input holds.
+uint32_t MagnitudeKey(float v) {
+  return std::bit_cast<uint32_t>(v) & 0x7fffffffu;
+}
+
 class TopKCodec : public Codec {
  public:
   CompressionKind kind() const override { return CompressionKind::kTopK; }
 
-  Buffer Encode(const float* x, size_t n) const override {
+  /// No fused kernel: the selection dominates the cost. The feedback steps
+  /// stay exact with little work, because the decoded vector is zero off the
+  /// kept indices and `send - 0` is `send` bit for bit, so only kept
+  /// positions of the residual change.
+  Buffer EncodeWithFeedback(const float* x, float* residual, size_t n,
+                            float* publish) const override {
     PR_CHECK(x != nullptr || n == 0);
+    const float* send = x;
+    if (residual != nullptr) {
+      for (size_t i = 0; i < n; ++i) residual[i] = x[i] + residual[i];
+      send = residual;
+    }
+    Buffer blob = Select(send, n);
+    const size_t k = TopKCount(n);
+    if (publish != nullptr) std::fill(publish, publish + n, 0.0f);
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t idx = GetWord(blob, 2 + j);
+      const float v = GetFloatWord(blob, 2 + k + j);
+      if (residual != nullptr) residual[idx] = residual[idx] - v;
+      if (publish != nullptr) publish[idx] = v;
+    }
+    return blob;
+  }
+
+  Status DecodeAccumulate(const Buffer& blob, const float* add, float* out,
+                          size_t n) const override {
+    const size_t k = TopKCount(n);
+    PR_RETURN_NOT_OK(CheckCountAndSize(blob, n, EncodedBytes(n), "topk"));
+    if (GetWord(blob, 1) != k) {
+      return Status::InvalidArgument("topk blob: size/count mismatch");
+    }
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t idx = GetWord(blob, 2 + j);
+      if (idx >= n || (j > 0 && idx <= GetWord(blob, 1 + j))) {
+        return Status::InvalidArgument(
+            "topk blob: index out of range or order");
+      }
+    }
+    PR_CHECK(out != nullptr || n == 0);
+    // Decoded values are 0 off the kept indices; walk the gaps between them.
+    size_t next = 0;
+    for (size_t j = 0; j <= k; ++j) {
+      const size_t end = j < k ? GetWord(blob, 2 + j) : n;
+      for (size_t i = next; i < end; ++i) {
+        out[i] = add != nullptr ? 0.0f + add[i] : 0.0f;
+      }
+      if (j == k) break;
+      const float v = GetFloatWord(blob, 2 + k + j);
+      out[end] = add != nullptr ? v + add[end] : v;
+      next = end + 1;
+    }
+    return Status::OK();
+  }
+
+  size_t EncodedBytes(size_t n) const override {
+    return 4 * (2 + 2 * TopKCount(n));
+  }
+
+ private:
+  static Buffer Select(const float* x, size_t n) {
     const size_t k = TopKCount(n);
     std::vector<uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     auto by_magnitude = [x](uint32_t a, uint32_t b) {
-      const float ma = std::abs(x[a]);
-      const float mb = std::abs(x[b]);
+      const uint32_t ma = MagnitudeKey(x[a]);
+      const uint32_t mb = MagnitudeKey(x[b]);
       if (ma != mb) return ma > mb;
       return a < b;
     };
@@ -246,34 +510,13 @@ class TopKCodec : public Codec {
     order.resize(k);
     std::sort(order.begin(), order.end());  // ascending index for locality
 
-    std::vector<float> words;
-    words.reserve(2 + 2 * k);
-    PutWord(&words, static_cast<uint32_t>(n));
-    PutWord(&words, static_cast<uint32_t>(k));
-    for (uint32_t idx : order) PutWord(&words, idx);
-    for (uint32_t idx : order) PutFloatWord(&words, x[idx]);
-    return Buffer::FromVector(std::move(words));
-  }
-
-  Status Decode(const Buffer& blob, std::vector<float>* out) const override {
-    PR_CHECK(out != nullptr);
-    if (blob.size() < 2) return Status::InvalidArgument("topk blob: empty");
-    const size_t n = GetWord(blob, 0);
-    const size_t k = GetWord(blob, 1);
-    if (k > n || k != TopKCount(n) || blob.size() != 2 + 2 * k) {
-      return Status::InvalidArgument("topk blob: size/count mismatch");
+    std::vector<float> blob = NewBlob(2 + 2 * k, n);
+    SetWord(blob.data(), 1, static_cast<uint32_t>(k));
+    for (size_t j = 0; j < k; ++j) {
+      SetWord(blob.data(), 2 + j, order[j]);
+      blob[2 + k + j] = x[order[j]];
     }
-    out->assign(n, 0.0f);
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t idx = GetWord(blob, 2 + i);
-      if (idx >= n) return Status::InvalidArgument("topk blob: index oob");
-      (*out)[idx] = GetFloatWord(blob, 2 + k + i);
-    }
-    return Status::OK();
-  }
-
-  size_t EncodedBytes(size_t n) const override {
-    return 4 * (2 + 2 * TopKCount(n));
+    return Buffer::FromVector(std::move(blob));
   }
 };
 
@@ -338,6 +581,19 @@ std::unique_ptr<Codec> MakeCodec(CompressionKind kind) {
   }
   PR_CHECK(false) << "MakeCodec: kNone has no codec";
   return nullptr;
+}
+
+Status Codec::Decode(const Buffer& blob, std::vector<float>* out) const {
+  PR_CHECK(out != nullptr);
+  if (blob.empty()) return Status::InvalidArgument("blob: empty");
+  // Size the output only once the count word agrees with the blob's size,
+  // so a corrupt count can not trigger a huge allocation.
+  const size_t n = GetWord(blob, 0);
+  if (blob.size() * sizeof(float) != EncodedBytes(n)) {
+    return Status::InvalidArgument("blob: size/count mismatch");
+  }
+  out->resize(n);
+  return DecodeAccumulate(blob, nullptr, out->data(), n);
 }
 
 size_t EncodedBlobBytes(CompressionKind kind, size_t n) {

@@ -57,6 +57,11 @@ inline constexpr size_t kTopKDivisor = 8;
 /// Codecs are stateless and deterministic: the same input always yields the
 /// same blob on every platform (ties in top-k selection break toward the
 /// lower index; int8 rounding is round-half-up via truncation).
+///
+/// The two kernels, EncodeWithFeedback and DecodeAccumulate, are what the
+/// data plane calls; Encode and Decode are thin wrappers over them. The
+/// fp16 and int8 kernels are fused and work through 1024-element chunks
+/// while each sits in L1, written to auto-vectorize (DESIGN.md §5i).
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -64,11 +69,30 @@ class Codec {
   virtual CompressionKind kind() const = 0;
 
   /// Encodes `n` floats into a blob. `x` may be null only when n == 0.
-  virtual Buffer Encode(const float* x, size_t n) const = 0;
+  Buffer Encode(const float* x, size_t n) const {
+    return EncodeWithFeedback(x, nullptr, n, nullptr);
+  }
+
+  /// The error-feedback encode kernel. With a non-null `residual` it encodes
+  /// `send = x + residual` and leaves `residual = send - decoded`, where
+  /// `decoded` is what Decode returns for the blob; with a null residual,
+  /// `send = x`. A non-null `publish` receives `decoded`; it may alias `x`
+  /// but not `residual`. The blob is bitwise Encode(send), and the codec
+  /// never decodes it to get there.
+  virtual Buffer EncodeWithFeedback(const float* x, float* residual, size_t n,
+                                    float* publish) const = 0;
 
   /// Decodes a blob into `out` (resized to the encoded element count).
   /// InvalidArgument on a malformed blob (truncated, inconsistent counts).
-  virtual Status Decode(const Buffer& blob, std::vector<float>* out) const = 0;
+  Status Decode(const Buffer& blob, std::vector<float>* out) const;
+
+  /// Decodes an `n`-element blob straight into `out[0..n)`, adding `add[i]`
+  /// to each decoded value when `add` is non-null (`add` may equal `out`).
+  /// The whole blob is validated first: a malformed blob, or one that does
+  /// not hold exactly `n` elements, returns InvalidArgument with `out`
+  /// untouched.
+  virtual Status DecodeAccumulate(const Buffer& blob, const float* add,
+                                  float* out, size_t n) const = 0;
 
   /// Exact blob size in bytes for an `n`-element encode — the analytical
   /// form of Encode(x, n).size() * 4, used by the simulator's traffic model

@@ -1,7 +1,6 @@
 #include "compress/compressor.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -27,17 +26,8 @@ Buffer Compressor::EncodeImpl(const float* range, size_t offset, size_t len,
   PR_CHECK(enabled());
   PR_CHECK(range != nullptr || len == 0);
   EnsureResidual(offset + len);
-  scratch_.resize(len);
-  float* res = residual_.data() + offset;
-  for (size_t i = 0; i < len; ++i) scratch_[i] = range[i] + res[i];
-  Buffer blob = codec_->Encode(scratch_.data(), len);
-  Status s = codec_->Decode(blob, &decoded_);
-  PR_CHECK(s.ok()) << "codec failed to decode its own blob: " << s.message();
-  PR_CHECK_EQ(decoded_.size(), len);
-  for (size_t i = 0; i < len; ++i) res[i] = scratch_[i] - decoded_[i];
-  if (publish != nullptr && len > 0) {
-    std::memcpy(publish, decoded_.data(), len * sizeof(float));
-  }
+  Buffer blob = codec_->EncodeWithFeedback(range, residual_.data() + offset,
+                                           len, publish);
   total_in_ += static_cast<double>(len * sizeof(float));
   total_out_ += static_cast<double>(blob.size() * sizeof(float));
   if (bytes_in_ != nullptr) {
@@ -64,14 +54,13 @@ Status Compressor::Decode(const Buffer& blob, std::vector<float>* out) const {
 
 Status Compressor::DecodeInto(const Buffer& blob, float* out,
                               size_t len) const {
+  return DecodeAccumulate(blob, nullptr, out, len);
+}
+
+Status Compressor::DecodeAccumulate(const Buffer& blob, const float* add,
+                                    float* out, size_t len) const {
   PR_CHECK(enabled());
-  std::vector<float> tmp;
-  PR_RETURN_NOT_OK(codec_->Decode(blob, &tmp));
-  if (tmp.size() != len) {
-    return Status::InvalidArgument("compressed payload: length mismatch");
-  }
-  if (len > 0) std::memcpy(out, tmp.data(), len * sizeof(float));
-  return Status::OK();
+  return codec_->DecodeAccumulate(blob, add, out, len);
 }
 
 size_t Compressor::EncodedBytes(size_t n) const {

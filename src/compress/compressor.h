@@ -65,11 +65,21 @@ class Compressor {
   /// element count differs from `len`.
   Status DecodeInto(const Buffer& blob, float* out, size_t len) const;
 
+  /// DecodeInto that adds `add[0..len)` to the decoded values (`add` may
+  /// equal `out`): the reduce-scatter hop's decode and accumulate in one
+  /// pass. A rejected blob leaves `out` untouched.
+  Status DecodeAccumulate(const Buffer& blob, const float* add, float* out,
+                          size_t len) const;
+
   /// Exact blob bytes for an `n`-element encode.
   size_t EncodedBytes(size_t n) const;
 
   /// Sum of |residual| over all touched positions (tests / diagnostics).
   double ResidualL1() const;
+
+  /// The residual itself, one entry per position touched so far (tests /
+  /// diagnostics).
+  Slice residual() const { return Slice(residual_.data(), residual_.size()); }
 
  private:
   void EnsureResidual(size_t end);
@@ -79,8 +89,6 @@ class Compressor {
   CompressionKind kind_;
   std::unique_ptr<Codec> codec_;  // null when kind_ == kNone
   std::vector<float> residual_;  // grown lazily to the largest offset seen
-  std::vector<float> scratch_;
-  std::vector<float> decoded_;
   Counter* bytes_in_ = nullptr;
   Counter* bytes_out_ = nullptr;
   Gauge* ratio_ = nullptr;

@@ -155,7 +155,6 @@ ReduceOutcome FaultAwareRingReduce(WorkerContext* ctx,
     }
   };
 
-  std::vector<float> scratch;
   // Reduce-scatter.
   for (size_t step = 0; step < p - 1; ++step) {
     const size_t out_chunk = (my_index + p - step) % p;
@@ -167,13 +166,13 @@ ReduceOutcome FaultAwareRingReduce(WorkerContext* ctx,
     if (!env.has_value()) return outcome;
     auto [rb, re] = ChunkBounds(n, p, recv_chunk);
     if (comp != nullptr) {
-      scratch.resize(re - rb);
       // A mismatched decode (wrong blob for this chunk length) is treated
-      // like a wrong-size raw chunk: abort and let the group retry.
-      if (!comp->DecodeInto(env->payload, scratch.data(), re - rb).ok()) {
+      // like a wrong-size raw chunk: abort and let the group retry. The
+      // decoder validates before writing, so `buf` is intact then.
+      if (!comp->DecodeAccumulate(env->payload, buf + rb, buf + rb, re - rb)
+               .ok()) {
         return ReduceOutcome::kAborted;
       }
-      Axpy(1.0f, scratch.data(), buf + rb, re - rb);
     } else {
       if (env->payload.size() != re - rb) return ReduceOutcome::kAborted;
       Axpy(1.0f, env->payload.data(), buf + rb, re - rb);

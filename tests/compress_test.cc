@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -387,6 +388,507 @@ TEST(CompressorTest, DecodeIntoRejectsLengthMismatch) {
   EXPECT_FALSE(comp.DecodeInto(blob, out.data(), out.size()).ok());
   out.resize(32);
   EXPECT_TRUE(comp.DecodeInto(blob, out.data(), out.size()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire format: blobs, residuals and published values pinned bit for
+// bit, so a kernel rewrite can not drift from the format other members (and
+// older binaries) decode.
+// ---------------------------------------------------------------------------
+
+/// Platform-independent inputs (a splitmix64 stream, no <random>
+/// distribution). Magnitudes vary per 64-element block from fp16-subnormal
+/// to near the fp16 maximum; int8 chunks alternate between mixed-sign,
+/// non-negative and non-positive values, with scattered +0/-0 entries so a
+/// chunk's minimum or maximum is often a signed zero. In the largest inputs
+/// chunk 7 is all zeros and chunk 9 is constant.
+std::vector<float> GoldenInput(size_t n, uint64_t seed) {
+  static constexpr float kBlockScale[] = {1.0f, 1e-3f, 250.0f, 3e-6f, 2e4f};
+  std::vector<float> v(n);
+  uint64_t state = seed * 0x2545f4914f6cdd1dull;
+  for (size_t i = 0; i < n; ++i) {
+    state += 0x9e3779b97f4a7c15ull;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    float u = static_cast<float>(static_cast<int32_t>(z >> 40) - (1 << 23)) /
+              static_cast<float>(1 << 23);
+    u *= kBlockScale[(i / 64) % 5];
+    const size_t chunk = i / kInt8ChunkElems;
+    if (chunk % 4 == 1) u = std::abs(u);
+    if (chunk % 4 == 2) u = -std::abs(u);
+    if ((z & 0x1f) == 1) u = 0.0f;
+    if ((z & 0x1f) == 2) u = -0.0f;
+    if (chunk == 7) u = (i % 2 == 0) ? -0.0f : 0.0f;
+    if (chunk == 9) u = 0.5f;
+    v[i] = u;
+  }
+  return v;
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// FNV-1a over the 32-bit words' bit patterns.
+uint64_t HashWords(uint64_t h, const float* words, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t w;
+    std::memcpy(&w, words + i, sizeof(w));
+    h ^= w;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenCase {
+  CompressionKind kind;
+  size_t n;
+  uint64_t blobs;      // Codec::Encode(x1), then EncodeRange(x1), then
+                       // EncodeRangePublish(x2) of one Compressor
+  uint64_t residual;   // that Compressor's residual after both rounds
+  uint64_t published;  // the values EncodeRangePublish wrote over x2
+};
+
+const GoldenCase kGolden[] = {
+    {CompressionKind::kFp16, 0, 0xd94d12186c0f2fb7ull,
+     0xcbf29ce484222325ull, 0xcbf29ce484222325ull},
+    {CompressionKind::kFp16, 1, 0x1936371ca168535eull,
+     0x49e3bcd3348937dfull, 0xea3bda8e9db77dfull},
+    {CompressionKind::kFp16, 3, 0x1756762a6ed969ceull,
+     0x566fc632493b2fb7ull, 0xbe562bbe6a3a0fb7ull},
+    {CompressionKind::kFp16, 1023, 0x5416b0121dacb228ull,
+     0x639cff305b5aee5bull, 0xdc33497d3b6dfbc7ull},
+    {CompressionKind::kFp16, 1024, 0xbd4fb025f31e7447ull,
+     0xcb3fb22596d04a1ull, 0x30c1a66f8887b325ull},
+    {CompressionKind::kFp16, 1025, 0x5d46ea5adad3caaaull,
+     0x96185d5551749d93ull, 0x81c0f4cae1a867dfull},
+    {CompressionKind::kFp16, 32771, 0x1e274493bcbb7d2dull,
+     0xc02fcbbac9db4297ull, 0x7e6712f0c0fe8fb7ull},
+    {CompressionKind::kInt8, 0, 0xd94d12186c0f2fb7ull,
+     0xcbf29ce484222325ull, 0xcbf29ce484222325ull},
+    {CompressionKind::kInt8, 1, 0x5db466e1afe5867cull,
+     0xaf63bd4c8601b7dfull, 0xe53e1a8e953c50bull},
+    {CompressionKind::kInt8, 3, 0xf76152398eaf0061ull,
+     0x25b5fab0a11589b7ull, 0x1fca5653e84a448bull},
+    {CompressionKind::kInt8, 1023, 0xa07033f0ba1280daull,
+     0x33ce8b446a548f66ull, 0xa14cf35e0dca8f36ull},
+    {CompressionKind::kInt8, 1024, 0x742cf4a9722cbd21ull,
+     0x84a3dad5e4da52c2ull, 0x494bf41d2d0e4c2ull},
+    {CompressionKind::kInt8, 1025, 0x5e25ddd64a4096ddull,
+     0x3cbf9b73defa9fa6ull, 0xc6cac20400aa99bfull},
+    {CompressionKind::kInt8, 32771, 0x9b0b308ce17c441bull,
+     0x91f0b812776131a7ull, 0x870fe599ec9c0d1aull},
+    {CompressionKind::kTopK, 0, 0xd7e4fcfa299d713dull,
+     0xcbf29ce484222325ull, 0xcbf29ce484222325ull},
+    {CompressionKind::kTopK, 1, 0x4830202a690ee93bull,
+     0xaf63bd4c8601b7dfull, 0xe53e1a8e953c50bull},
+    {CompressionKind::kTopK, 3, 0xe6befa0662f0bb90ull,
+     0x2e049f439fe98e43ull, 0x120cdcfa8946de73ull},
+    {CompressionKind::kTopK, 1023, 0x4236f79dab5538f6ull,
+     0x4c4b96cd81d4070eull, 0x6dc1afeb4d153aefull},
+    {CompressionKind::kTopK, 1024, 0x33c3ede5835e0014ull,
+     0x97bad46a0850d96eull, 0x84c626b3c3a7e7a7ull},
+    {CompressionKind::kTopK, 1025, 0x7b258bc1c27c16ddull,
+     0x1d4d6d73752a7667ull, 0x449b6a75764ea0c5ull},
+    {CompressionKind::kTopK, 32771, 0x32297b0c1a2dc535ull,
+     0xa122808e28f459dcull, 0xb6b542a5cc21b8c0ull},
+};
+
+TEST(CodecTest, GoldenBlobsResidualsAndPublishedValues) {
+  for (const GoldenCase& g : kGolden) {
+    const size_t n = g.n;
+    const std::vector<float> x1 = GoldenInput(n, 1);
+    const std::vector<float> x2 = GoldenInput(n, 2);
+    auto codec = MakeCodec(g.kind);
+    Buffer plain = codec->Encode(x1.data(), n);
+    uint64_t blobs = HashWords(kFnvOffset, plain.data(), plain.size());
+
+    Compressor comp(g.kind);
+    Buffer first = comp.EncodeRange(x1.data(), 0, n);
+    blobs = HashWords(blobs, first.data(), first.size());
+    std::vector<float> published = x2;
+    Buffer second = comp.EncodeRangePublish(published.data(), 0, n);
+    blobs = HashWords(blobs, second.data(), second.size());
+    const uint64_t residual =
+        HashWords(kFnvOffset, comp.residual().data(), comp.residual().size());
+    const uint64_t pub = HashWords(kFnvOffset, published.data(), n);
+
+    EXPECT_EQ(comp.residual().size(), n);
+    EXPECT_TRUE(blobs == g.blobs && residual == g.residual &&
+                pub == g.published)
+        << "golden mismatch; this code computes\n    {CompressionKind::k"
+        << (g.kind == CompressionKind::kFp16   ? "Fp16"
+            : g.kind == CompressionKind::kInt8 ? "Int8"
+                                               : "TopK")
+        << ", " << n << ", 0x" << std::hex << blobs << "ull, 0x" << residual
+        << "ull, 0x" << pub << "ull},";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel equivalence: the fused kernels against the separate steps they
+// replace, bit for bit.
+// ---------------------------------------------------------------------------
+
+const CompressionKind kAllCodecs[] = {
+    CompressionKind::kFp16, CompressionKind::kInt8, CompressionKind::kTopK};
+const size_t kGoldenSizes[] = {0, 1, 3, 1023, 1024, 1025, 32771};
+
+bool BitwiseEqual(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+bool BitwiseEqual(const Buffer& a, const Buffer& b) {
+  return a.size() == b.size() && BitwiseEqual(a.data(), b.data(), a.size());
+}
+
+TEST(CodecTest, EncodeWithFeedbackMatchesEncodeDecodeSteps) {
+  for (CompressionKind kind : kAllCodecs) {
+    auto codec = MakeCodec(kind);
+    for (size_t n : kGoldenSizes) {
+      const std::vector<float> x = GoldenInput(n, 3);
+      std::vector<float> residual = GoldenInput(n, 4);
+      for (float& r : residual) r *= 0.01f;
+
+      // The steps: send = x + residual, Encode(send), Decode, residual =
+      // send - decoded.
+      std::vector<float> send(n), decoded, want_residual(n);
+      for (size_t i = 0; i < n; ++i) send[i] = x[i] + residual[i];
+      const Buffer want = codec->Encode(send.data(), n);
+      ASSERT_TRUE(codec->Decode(want, &decoded).ok());
+      for (size_t i = 0; i < n; ++i) want_residual[i] = send[i] - decoded[i];
+
+      std::vector<float> r = residual, published(n);
+      const Buffer got =
+          codec->EncodeWithFeedback(x.data(), r.data(), n, published.data());
+      const std::string where =
+          CompressionKindName(kind) + " n=" + std::to_string(n);
+      EXPECT_TRUE(BitwiseEqual(got, want)) << where;
+      EXPECT_TRUE(BitwiseEqual(r.data(), want_residual.data(), n)) << where;
+      EXPECT_TRUE(BitwiseEqual(published.data(), decoded.data(), n)) << where;
+
+      // publish == x, as EncodeRangePublish calls it.
+      std::vector<float> in_place = x;
+      r = residual;
+      const Buffer aliased = codec->EncodeWithFeedback(
+          in_place.data(), r.data(), n, in_place.data());
+      EXPECT_TRUE(BitwiseEqual(aliased, want)) << where << " aliased";
+      EXPECT_TRUE(BitwiseEqual(r.data(), want_residual.data(), n))
+          << where << " aliased";
+      EXPECT_TRUE(BitwiseEqual(in_place.data(), decoded.data(), n))
+          << where << " aliased";
+
+      // No residual: a plain encode that still publishes.
+      std::vector<float> plain_decoded;
+      const Buffer plain = codec->Encode(x.data(), n);
+      ASSERT_TRUE(codec->Decode(plain, &plain_decoded).ok());
+      const Buffer no_feedback =
+          codec->EncodeWithFeedback(x.data(), nullptr, n, published.data());
+      EXPECT_TRUE(BitwiseEqual(no_feedback, plain)) << where;
+      EXPECT_TRUE(BitwiseEqual(published.data(), plain_decoded.data(), n))
+          << where;
+    }
+  }
+}
+
+TEST(CodecTest, DecodeAccumulateMatchesDecodePlusAdd) {
+  for (CompressionKind kind : kAllCodecs) {
+    auto codec = MakeCodec(kind);
+    for (size_t n : kGoldenSizes) {
+      const std::vector<float> x = GoldenInput(n, 5);
+      const std::vector<float> add = GoldenInput(n, 6);
+      const Buffer blob = codec->Encode(x.data(), n);
+      std::vector<float> decoded;
+      ASSERT_TRUE(codec->Decode(blob, &decoded).ok());
+      std::vector<float> want(n);
+      for (size_t i = 0; i < n; ++i) want[i] = decoded[i] + add[i];
+      const std::string where =
+          CompressionKindName(kind) + " n=" + std::to_string(n);
+
+      std::vector<float> out(n, 7.0f);
+      ASSERT_TRUE(
+          codec->DecodeAccumulate(blob, add.data(), out.data(), n).ok());
+      EXPECT_TRUE(BitwiseEqual(out.data(), want.data(), n)) << where;
+
+      // In place: add == out, as the reduce-scatter hop calls it.
+      out = add;
+      ASSERT_TRUE(
+          codec->DecodeAccumulate(blob, out.data(), out.data(), n).ok());
+      EXPECT_TRUE(BitwiseEqual(out.data(), want.data(), n))
+          << where << " in place";
+
+      std::fill(out.begin(), out.end(), 7.0f);
+      ASSERT_TRUE(codec->DecodeAccumulate(blob, nullptr, out.data(), n).ok());
+      EXPECT_TRUE(BitwiseEqual(out.data(), decoded.data(), n)) << where;
+    }
+  }
+}
+
+/// Expects `blob` to be rejected as an `n`-element blob with
+/// InvalidArgument and no write into `out`, with and without `add`.
+void ExpectRejectedUntouched(const Codec& codec, const Buffer& blob, size_t n,
+                             const std::string& what) {
+  const std::vector<float> add(n, 1.0f);
+  for (const float* a : {static_cast<const float*>(nullptr), add.data()}) {
+    std::vector<float> out(n, 7.0f);
+    const Status s = codec.DecodeAccumulate(blob, a, out.data(), n);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << CompressionKindName(codec.kind()) << ": " << what;
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [](float v) { return v == 7.0f; }))
+        << CompressionKindName(codec.kind()) << ": " << what
+        << " wrote into out before rejecting";
+  }
+}
+
+std::vector<float> Words(const Buffer& blob) {
+  return std::vector<float>(blob.data(), blob.data() + blob.size());
+}
+
+void SetWordAt(std::vector<float>* words, size_t i, uint32_t w) {
+  std::memcpy(words->data() + i, &w, sizeof(w));
+}
+
+TEST(CodecTest, DecodeAccumulateRejectsBadBlobsBeforeAnyWrite) {
+  const size_t n = 2500;  // three int8 chunks, the last one ragged
+  for (CompressionKind kind : kAllCodecs) {
+    auto codec = MakeCodec(kind);
+    const std::vector<float> x = GoldenInput(n, 8);
+    const Buffer blob = codec->Encode(x.data(), n);
+
+    ExpectRejectedUntouched(*codec, Buffer(), n, "empty blob");
+    std::vector<float> truncated = Words(blob);
+    truncated.pop_back();
+    ExpectRejectedUntouched(*codec, Buffer::FromVector(truncated), n,
+                            "truncated blob");
+    std::vector<float> grown = Words(blob);
+    grown.push_back(0.0f);
+    ExpectRejectedUntouched(*codec, Buffer::FromVector(grown), n,
+                            "blob with a trailing word");
+    ExpectRejectedUntouched(*codec, blob, n - 1, "blob for another length");
+    std::vector<float> recounted = Words(blob);
+    SetWordAt(&recounted, 0, static_cast<uint32_t>(n + 64));
+    ExpectRejectedUntouched(*codec, Buffer::FromVector(recounted), n,
+                            "inflated count word");
+  }
+
+  // Top-k blobs also carry k and an ascending index list.
+  auto topk = MakeCodec(CompressionKind::kTopK);
+  const std::vector<float> x = GoldenInput(n, 9);
+  const Buffer blob = topk->Encode(x.data(), n);
+  const size_t k = n / kTopKDivisor;
+  std::vector<float> bad_k = Words(blob);
+  SetWordAt(&bad_k, 1, static_cast<uint32_t>(k - 1));
+  ExpectRejectedUntouched(*topk, Buffer::FromVector(bad_k), n, "wrong k");
+  std::vector<float> out_of_range = Words(blob);
+  SetWordAt(&out_of_range, 2 + k - 1, static_cast<uint32_t>(n));
+  ExpectRejectedUntouched(*topk, Buffer::FromVector(out_of_range), n,
+                          "index out of range");
+  std::vector<float> unordered = Words(blob);
+  std::swap(unordered[2], unordered[3]);
+  ExpectRejectedUntouched(*topk, Buffer::FromVector(unordered), n,
+                          "indices out of order");
+  std::vector<float> repeated = Words(blob);
+  repeated[3] = repeated[2];
+  ExpectRejectedUntouched(*topk, Buffer::FromVector(repeated), n,
+                          "repeated index");
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite input: one defined encoding, never undefined behaviour (the
+// ASan + UBSan job builds with -fsanitize=float-cast-overflow).
+// ---------------------------------------------------------------------------
+
+/// Bits of int8 chunk `c`'s min word, scale word and quantized bytes.
+struct Int8ChunkView {
+  float lo;
+  float scale;
+  std::vector<uint8_t> q;
+};
+
+Int8ChunkView ViewInt8Chunk(const Buffer& blob, size_t n, size_t c) {
+  size_t w = 1;
+  for (size_t i = 0; i < c; ++i) {
+    w += 2 + (std::min(kInt8ChunkElems, n - i * kInt8ChunkElems) + 3) / 4;
+  }
+  const size_t len = std::min(kInt8ChunkElems, n - c * kInt8ChunkElems);
+  Int8ChunkView view{blob[w], blob[w + 1], std::vector<uint8_t>(len)};
+  std::memcpy(view.q.data(), blob.data() + w + 2, len);
+  return view;
+}
+
+/// Encodes `x` (two int8 chunks, the first one poisoned) twice through the
+/// codec and once through a Compressor, and checks that the result is
+/// deterministic, that the poisoned chunk quantizes to all zeros and decodes
+/// to NaN, and that the clean second chunk is unaffected.
+void ExpectPoisonedFirstChunk(const std::vector<float>& x) {
+  auto codec = MakeCodec(CompressionKind::kInt8);
+  const size_t n = x.size();
+  const Buffer a = codec->Encode(x.data(), n);
+  const Buffer b = codec->Encode(x.data(), n);
+  EXPECT_TRUE(BitwiseEqual(a, b)) << "non-finite encode is not deterministic";
+
+  const Int8ChunkView first = ViewInt8Chunk(a, n, 0);
+  EXPECT_TRUE(std::all_of(first.q.begin(), first.q.end(),
+                          [](uint8_t q) { return q == 0; }));
+  std::vector<float> decoded;
+  ASSERT_TRUE(codec->Decode(a, &decoded).ok());
+  for (size_t i = 0; i < kInt8ChunkElems; ++i) {
+    EXPECT_TRUE(std::isnan(decoded[i])) << "elem " << i;
+  }
+  for (size_t i = kInt8ChunkElems; i < n; ++i) {
+    EXPECT_NEAR(decoded[i], x[i], 0.01) << "elem " << i;
+  }
+
+  Compressor comp(CompressionKind::kInt8);
+  std::vector<float> published = x;
+  const Buffer c = comp.EncodeRangePublish(published.data(), 0, n);
+  EXPECT_TRUE(BitwiseEqual(a, c));
+  EXPECT_TRUE(BitwiseEqual(published.data(), decoded.data(), n));
+}
+
+TEST(CodecTest, Int8ChunkWithNanEncodesToNan) {
+  std::vector<float> x = GoldenInput(2 * kInt8ChunkElems, 12);
+  for (float& v : x) v = std::clamp(v, -1.0f, 1.0f);
+  x[5] = std::numeric_limits<float>::quiet_NaN();
+  ExpectPoisonedFirstChunk(x);
+  // The chunk's first NaN becomes its min and scale words.
+  const Int8ChunkView first = ViewInt8Chunk(
+      MakeCodec(CompressionKind::kInt8)->Encode(x.data(), x.size()), x.size(),
+      0);
+  EXPECT_TRUE(std::isnan(first.lo));
+  EXPECT_TRUE(std::isnan(first.scale));
+}
+
+TEST(CodecTest, Int8ChunkWithOverflowingRangeEncodesToNan) {
+  // hi - lo overflows to inf, so scale is inf and (x - lo) / scale is
+  // inf / inf = NaN at the top of the range.
+  std::vector<float> x = GoldenInput(2 * kInt8ChunkElems, 13);
+  for (float& v : x) v = std::clamp(v, -1.0f, 1.0f);
+  x[0] = -3e38f;
+  x[1] = 3e38f;
+  ExpectPoisonedFirstChunk(x);
+  const Int8ChunkView first = ViewInt8Chunk(
+      MakeCodec(CompressionKind::kInt8)->Encode(x.data(), x.size()), x.size(),
+      0);
+  EXPECT_EQ(first.lo, -3e38f);
+  EXPECT_TRUE(std::isinf(first.scale));
+}
+
+TEST(CodecTest, TopKSendsNanAheadOfEveryMagnitude) {
+  auto codec = MakeCodec(CompressionKind::kTopK);
+  std::vector<float> x = {1.0f, -9.0f, 2.0f, 3.0f, 0.5f, 4.0f, 5.0f, 6.0f,
+                          7.0f, 8.0f,  1.5f, 2.5f, 3.5f, 4.5f, 5.5f, 6.5f};
+  x[12] = std::numeric_limits<float>::quiet_NaN();
+  const Buffer a = codec->Encode(x.data(), x.size());
+  EXPECT_TRUE(BitwiseEqual(a, codec->Encode(x.data(), x.size())));
+  std::vector<float> back;
+  ASSERT_TRUE(codec->Decode(a, &back).ok());
+  // k = 2: the NaN and the largest magnitude, -9.
+  EXPECT_EQ(back[1], -9.0f);
+  EXPECT_TRUE(std::isnan(back[12]));
+  EXPECT_EQ(std::count(back.begin(), back.end(), 0.0f), 14);
+}
+
+// ---------------------------------------------------------------------------
+// fp16 conversion against a straightforward reference, on every half and on
+// a sweep of floats that hits each rounding boundary.
+// ---------------------------------------------------------------------------
+
+/// Reference float -> half: round half away from zero on the first dropped
+/// bit; overflow to inf; nan keeps the top mantissa bit.
+uint16_t ReferenceFloatToHalf(float f) {
+  uint32_t x;
+  std::memcpy(&x, &f, sizeof(x));
+  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
+  const uint32_t exp = (x >> 23) & 0xffu;
+  uint32_t mant = x & 0x7fffffu;
+  if (exp == 0xffu) return sign | 0x7c00u | (mant != 0 ? 0x200u : 0u);
+  const int e = static_cast<int>(exp) - 127 + 15;
+  if (e >= 31) return sign | 0x7c00u;
+  if (e <= 0) {
+    if (e < -10) return sign;
+    mant |= 0x800000u;
+    const uint32_t shift = static_cast<uint32_t>(14 - e);
+    uint16_t h = static_cast<uint16_t>(mant >> shift);
+    if ((mant >> (shift - 1)) & 1u) ++h;
+    return sign | h;
+  }
+  uint16_t h = static_cast<uint16_t>((e << 10) | (mant >> 13));
+  if (mant & 0x1000u) ++h;
+  return sign | h;
+}
+
+float ReferenceHalfToFloat(uint16_t h) {
+  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
+  const uint32_t exp = (h >> 10) & 0x1fu;
+  const uint32_t mant = h & 0x3ffu;
+  float magnitude;
+  if (exp == 0) {
+    magnitude = std::ldexp(static_cast<float>(mant), -24);
+  } else if (exp == 31) {
+    const uint32_t bits = 0x7f800000u | (mant << 13);
+    std::memcpy(&magnitude, &bits, sizeof(magnitude));
+  } else {
+    magnitude = std::ldexp(static_cast<float>(mant | 0x400u),
+                           static_cast<int>(exp) - 25);
+  }
+  uint32_t bits;
+  std::memcpy(&bits, &magnitude, sizeof(bits));
+  bits |= sign;
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+TEST(CodecTest, Fp16DecodesEveryHalfLikeTheReference) {
+  const size_t n = 1 << 16;
+  std::vector<float> words(1 + n / 2);
+  SetWordAt(&words, 0, static_cast<uint32_t>(n));
+  for (uint32_t h = 0; h < n; h += 2) {
+    SetWordAt(&words, 1 + h / 2, h | ((h + 1) << 16));
+  }
+  std::vector<float> out;
+  ASSERT_TRUE(MakeCodec(CompressionKind::kFp16)
+                  ->Decode(Buffer::FromVector(words), &out)
+                  .ok());
+  for (uint32_t h = 0; h < n; ++h) {
+    const float want = ReferenceHalfToFloat(static_cast<uint16_t>(h));
+    ASSERT_TRUE(BitwiseEqual(&out[h], &want, 1)) << "half 0x" << std::hex << h;
+  }
+}
+
+TEST(CodecTest, Fp16EncodesFloatSweepLikeTheReference) {
+  // Every sign/exponent/top-10-mantissa prefix with the dropped bits at each
+  // rounding boundary, plus an odd-stride sweep of all 2^32 patterns.
+  std::vector<float> x;
+  const uint32_t kLow[] = {0x0000, 0x0001, 0x0fff, 0x1000, 0x1001, 0x1fff};
+  for (uint32_t prefix = 0; prefix < (1u << 19); ++prefix) {
+    for (uint32_t low : kLow) {
+      const uint32_t bits = (prefix << 13) | low;
+      float f;
+      std::memcpy(&f, &bits, sizeof(f));
+      x.push_back(f);
+    }
+  }
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4099) {
+    const uint32_t b = static_cast<uint32_t>(bits);
+    float f;
+    std::memcpy(&f, &b, sizeof(f));
+    x.push_back(f);
+  }
+  const Buffer blob = MakeCodec(CompressionKind::kFp16)->Encode(x.data(),
+                                                                 x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    uint16_t got;
+    std::memcpy(&got,
+                reinterpret_cast<const unsigned char*>(blob.data() + 1) + 2 * i,
+                sizeof(got));
+    uint32_t bits;
+    std::memcpy(&bits, &x[i], sizeof(bits));
+    ASSERT_EQ(got, ReferenceFloatToHalf(x[i]))
+        << "float 0x" << std::hex << bits;
+  }
 }
 
 // ---------------------------------------------------------------------------
