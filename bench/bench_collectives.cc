@@ -1,7 +1,7 @@
-// Collective data-plane bench: times the leader tree, the classic
-// (copy-per-hop) ring, and the segmented pipelined ring over the in-process
-// transport at several payload sizes, and reports the transport counters
-// (bytes moved, payload materializations) alongside wall time. Emits
+// Collective data-plane bench: times the classic (copy-per-hop) ring and
+// the segmented pipelined ring over the in-process transport at several
+// payload sizes, and reports the transport counters (bytes moved, payload
+// materializations) alongside wall time. Emits
 // BENCH_collectives.json; the headline number is the segmented ring's
 // speedup over the classic ring at the largest size, which the CI smoke
 // check asserts on.
@@ -190,13 +190,6 @@ int main(int argc, char** argv) {
 
   double headline_speedup = 0.0;  // segmented vs classic ring at max size
   for (size_t n : sizes) {
-    const MemberFn leader = [&](pr::Endpoint* ep, size_t i, float* data) {
-      std::vector<float> v(data, data + n);
-      pr::Status s =
-          pr::LeaderWeightedAllReduce(ep, ids, weights, i, /*tag=*/1, &v);
-      std::copy(v.begin(), v.end(), data);
-      return s;
-    };
     const MemberFn ring = [&](pr::Endpoint* ep, size_t i, float* data) {
       std::vector<float> v(data, data + n);
       pr::Status s =
@@ -210,10 +203,9 @@ int main(int argc, char** argv) {
     };
 
     std::vector<AlgoResult> results;
-    results.push_back(RunAlgo("leader", members, n, reps, leader));
     results.push_back(RunAlgo("ring", members, n, reps, ring));
     results.push_back(RunAlgo("segmented_ring", members, n, reps, segmented));
-    const double ring_seconds = results[1].seconds;
+    const double ring_seconds = results[0].seconds;
 
     json.BeginObject();
     json.Key("floats").UInt(n);

@@ -1,13 +1,9 @@
-// Microbenchmarks for the communication substrate and controller hot paths:
-// ring vs leader collectives across group sizes and payload lengths, plus
-// controller signal-ingestion throughput and weight generation.
+// Microbenchmarks for the controller hot paths: signal-ingestion
+// throughput, dynamic weight generation and the weighted-average kernel.
+// Collective timings live in bench_collectives.
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-#include <thread>
-
-#include "comm/collectives.h"
 #include "common/rng.h"
 #include "core/aggregate.h"
 #include "core/controller.h"
@@ -15,68 +11,6 @@
 
 namespace pr {
 namespace {
-
-void RunGroup(InProcTransport* transport, const std::vector<NodeId>& members,
-              const std::function<void(size_t, Endpoint*)>& fn) {
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < members.size(); ++i) {
-    threads.emplace_back([&, i] {
-      Endpoint ep(transport, members[i]);
-      fn(i, &ep);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-void BM_RingAllReduce(benchmark::State& state) {
-  const size_t p = static_cast<size_t>(state.range(0));
-  const size_t n = static_cast<size_t>(state.range(1));
-  std::vector<NodeId> members;
-  for (size_t i = 0; i < p; ++i) members.push_back(static_cast<NodeId>(i));
-  std::vector<std::vector<float>> data(p, std::vector<float>(n, 1.0f));
-
-  for (auto _ : state) {
-    InProcTransport transport(static_cast<int>(p));
-    RunGroup(&transport, members, [&](size_t i, Endpoint* ep) {
-      auto local = data[i];
-      benchmark::DoNotOptimize(
-          RingAverageAllReduce(ep, members, i, 1, &local));
-    });
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(p * n * sizeof(float)));
-}
-BENCHMARK(BM_RingAllReduce)
-    ->Args({2, 1 << 12})
-    ->Args({4, 1 << 12})
-    ->Args({8, 1 << 12})
-    ->Args({4, 1 << 16})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_LeaderAllReduce(benchmark::State& state) {
-  const size_t p = static_cast<size_t>(state.range(0));
-  const size_t n = static_cast<size_t>(state.range(1));
-  std::vector<NodeId> members;
-  for (size_t i = 0; i < p; ++i) members.push_back(static_cast<NodeId>(i));
-  std::vector<double> weights(p, 1.0 / static_cast<double>(p));
-  std::vector<std::vector<float>> data(p, std::vector<float>(n, 1.0f));
-
-  for (auto _ : state) {
-    InProcTransport transport(static_cast<int>(p));
-    RunGroup(&transport, members, [&](size_t i, Endpoint* ep) {
-      auto local = data[i];
-      benchmark::DoNotOptimize(
-          LeaderWeightedAllReduce(ep, members, weights, i, 1, &local));
-    });
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(p * n * sizeof(float)));
-}
-BENCHMARK(BM_LeaderAllReduce)
-    ->Args({2, 1 << 12})
-    ->Args({4, 1 << 12})
-    ->Args({8, 1 << 12})
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_ControllerSignalIngestion(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,6 +1,8 @@
 #include "comm/collectives.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <optional>
 
 #include "common/check.h"
 #include "compress/compressor.h"
@@ -10,13 +12,8 @@ namespace pr {
 namespace {
 
 // Message kinds used by the collectives; upper layers use other values.
-constexpr int kKindLeaderGather = 101;
-constexpr int kKindLeaderResult = 102;
 constexpr int kKindRsChunk = 103;
-constexpr int kKindBroadcast = 104;
 constexpr int kKindAgChunk = 105;
-constexpr int kKindGather = 106;
-constexpr int kKindBarrier = 107;
 constexpr int kKindSegRsChunk = 108;
 constexpr int kKindSegAgChunk = 109;
 
@@ -63,137 +60,124 @@ std::pair<size_t, size_t> SegmentBounds(size_t chunk_begin, size_t chunk_end,
   return {b, e};
 }
 
-}  // namespace
-
-Status LeaderWeightedAllReduce(Endpoint* ep,
-                               const std::vector<NodeId>& members,
-                               const std::vector<double>& weights,
-                               size_t my_index, uint64_t tag,
-                               std::vector<float>* data) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  PR_RETURN_NOT_OK(ValidateWeights(members, weights));
-  const size_t p = members.size();
-  if (p == 1) {
-    Scale(static_cast<float>(weights[0]), data->data(), data->size());
-    return Status::OK();
-  }
-  const NodeId leader = members[0];
-  if (my_index == 0) {
-    std::vector<float> acc(data->size(), 0.0f);
-    Axpy(static_cast<float>(weights[0]), data->data(), acc.data(),
-         data->size());
-    for (size_t j = 1; j < p; ++j) {
-      std::optional<Envelope> env =
-          ep->RecvMatching(members[j], tag, kKindLeaderGather);
-      if (!env.has_value()) {
-        return Status::Cancelled("transport shut down during all-reduce");
-      }
-      if (env->payload.size() != data->size()) {
-        return Status::InvalidArgument(
-            "all-reduce: member vector length mismatch");
-      }
-      Axpy(static_cast<float>(weights[j]), env->payload.data(), acc.data(),
-           acc.size());
-    }
-    *data = std::move(acc);
-    // One materialization, P-1 shared handles.
-    Buffer result = ep->MakePayload(data->data(), data->size());
-    for (size_t j = 1; j < p; ++j) {
-      PR_RETURN_NOT_OK(
-          ep->Send(members[j], tag, kKindLeaderResult, {}, result));
-    }
-    return Status::OK();
-  }
-  PR_RETURN_NOT_OK(ep->Send(leader, tag, kKindLeaderGather, {}, *data));
-  std::optional<Envelope> env = ep->RecvMatching(leader, tag,
-                                                 kKindLeaderResult);
-  if (!env.has_value()) {
-    return Status::Cancelled("transport shut down during all-reduce");
-  }
-  *data = env->payload.Take();
-  return Status::OK();
+/// True when a ring message's control fields are exactly `want`. Peers
+/// supply these, so a short frame is a mismatch, not an out-of-bounds read.
+bool FieldsAre(const Envelope& env, std::initializer_list<int64_t> want) {
+  return env.ints.size() == want.size() &&
+         std::equal(want.begin(), want.end(), env.ints.begin());
 }
 
-Status RingReduceScatter(Endpoint* ep, const std::vector<NodeId>& members,
-                         size_t my_index, uint64_t tag,
-                         std::vector<float>* data, size_t* chunk_begin,
-                         size_t* chunk_end) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
+/// One circulation of the classic ring: P-1 steps, each sending a whole
+/// chunk right and combining the chunk received from the left. The
+/// reduce-scatter pass (offset 0) accumulates, after which member i holds
+/// the full sum of chunk (i + 1) % P; the all-gather pass (offset 1)
+/// circulates those owned chunks and overwrites.
+Status ClassicRingPass(Endpoint* ep, const std::vector<NodeId>& members,
+                       size_t my_index, uint64_t tag, int kind, size_t offset,
+                       float* buf, size_t n) {
   const size_t p = members.size();
-  const size_t n = data->size();
-  const size_t owned = (my_index + 1) % p;
-  if (chunk_begin != nullptr && chunk_end != nullptr) {
-    auto [ob, oe] = ChunkBounds(n, p, owned);
-    *chunk_begin = ob;
-    *chunk_end = oe;
-  }
-  if (p == 1) return Status::OK();
-
   const NodeId right = members[(my_index + 1) % p];
   const NodeId left = members[(my_index + p - 1) % p];
-  float* buf = data->data();
-
-  // After P-1 steps, chunk (my_index + 1) % p holds the full sum here.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t send_chunk = (my_index + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step - 1) % p;
-    auto [sb, se] = ChunkBounds(n, p, send_chunk);
-    PR_RETURN_NOT_OK(
-        ep->Send(right, tag, kKindRsChunk,
-                 {static_cast<int64_t>(step), static_cast<int64_t>(send_chunk)},
-                 std::vector<float>(buf + sb, buf + se)));
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindRsChunk);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during reduce-scatter");
-    }
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(recv_chunk));
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    PR_CHECK_EQ(env->payload.size(), re - rb);
-    Axpy(1.0f, env->payload.data(), buf + rb, re - rb);
-  }
-  return Status::OK();
-}
-
-Status RingAllGather(Endpoint* ep, const std::vector<NodeId>& members,
-                     size_t my_index, uint64_t tag,
-                     std::vector<float>* data) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  const size_t p = members.size();
-  const size_t n = data->size();
-  if (p == 1) return Status::OK();
-
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  float* buf = data->data();
-
-  // Circulate the owned chunks: member i starts owning chunk (i + 1) % p.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t send_chunk = (my_index + 1 + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step) % p;
+  for (size_t step = 0; step + 1 < p; ++step) {
+    const size_t send_chunk = (my_index + offset + p - step) % p;
+    const size_t recv_chunk = (my_index + offset + p - step - 1) % p;
     auto [sb, se] = ChunkBounds(n, p, send_chunk);
     PR_RETURN_NOT_OK(ep->Send(
-        right, tag, kKindAgChunk,
+        right, tag, kind,
         {static_cast<int64_t>(step), static_cast<int64_t>(send_chunk)},
         std::vector<float>(buf + sb, buf + se)));
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindAgChunk);
+    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
     if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during all-gather");
+      return Status::Cancelled("transport shut down during ring all-reduce");
     }
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(recv_chunk));
     auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    PR_CHECK_EQ(env->payload.size(), re - rb);
-    std::copy(env->payload.begin(), env->payload.end(), buf + rb);
+    if (!FieldsAre(*env, {static_cast<int64_t>(step),
+                          static_cast<int64_t>(recv_chunk)}) ||
+        env->payload.size() != re - rb) {
+      return Status::InvalidArgument(
+          "ring: chunk malformed or out of schedule");
+    }
+    if (kind == kKindRsChunk) {
+      Axpy(1.0f, env->payload.data(), buf + rb, re - rb);
+    } else {
+      std::copy(env->payload.begin(), env->payload.end(), buf + rb);
+    }
   }
   return Status::OK();
 }
+
+/// A member's two ring links, as both segmented rings use them: segment
+/// sends to the right neighbour and segment receives from the left one,
+/// plain or under a RingWatch.
+class SegmentLink {
+ public:
+  SegmentLink(Endpoint* ep, const std::vector<NodeId>& members,
+              size_t my_index, uint64_t tag, uint8_t encoding,
+              const RingWatch* watch)
+      : ep_(ep),
+        right_(members[(my_index + 1) % members.size()]),
+        left_(members[(my_index + members.size() - 1) % members.size()]),
+        tag_(tag),
+        encoding_(encoding),
+        watch_(watch) {}
+
+  /// Under a watch a failed send is not an error: a vanished peer shows up
+  /// as a receive that never completes, which the watch resolves.
+  Status Send(int kind, size_t step, size_t chunk, size_t j, Buffer b) {
+    Status s = ep_->Send(right_, tag_, kind,
+                         {static_cast<int64_t>(step),
+                          static_cast<int64_t>(chunk),
+                          static_cast<int64_t>(j)},
+                         std::move(b), encoding_);
+    return watch_ != nullptr ? Status::OK() : s;
+  }
+
+  /// Receives segment (step, chunk, j) of `kind` into `out`. Without a
+  /// watch, per-pair FIFO plus the deterministic schedule mean the next
+  /// left-neighbour message of this kind *is* the expected one, so its
+  /// fields are validated rather than selected on.
+  Status Recv(int kind, size_t step, size_t chunk, size_t j, Buffer* out) {
+    const std::initializer_list<int64_t> want = {
+        static_cast<int64_t>(step), static_cast<int64_t>(chunk),
+        static_cast<int64_t>(j)};
+    std::optional<Envelope> env;
+    if (watch_ == nullptr) {
+      env = ep_->RecvMatching(left_, tag_, kind);
+      if (!env.has_value()) return Shutdown();
+      if (!FieldsAre(*env, want)) {
+        return Status::InvalidArgument(
+            "ring: segment malformed or out of schedule");
+      }
+    } else {
+      const auto match = [&](const Envelope& e) {
+        return e.from == left_ && e.tag == tag_ && e.kind == kind &&
+               FieldsAre(e, want);
+      };
+      while (!(env = ep_->RecvWhereFor(match, watch_->tick_seconds))) {
+        if (ep_->closed()) return Shutdown();
+        if (!watch_->on_tick()) {
+          return Status::Unavailable("ring: reduce abandoned by its watch");
+        }
+      }
+    }
+    *out = std::move(env->payload);
+    return Status::OK();
+  }
+
+ private:
+  static Status Shutdown() {
+    return Status::Cancelled("transport shut down during ring all-reduce");
+  }
+
+  Endpoint* ep_;
+  NodeId right_;
+  NodeId left_;
+  uint64_t tag_;
+  uint8_t encoding_;
+  const RingWatch* watch_;
+};
+
+}  // namespace
 
 Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              const std::vector<double>& weights,
@@ -206,10 +190,12 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
 
   // Pre-scale by our weight; reduce-scatter + all-gather then compute a
   // plain sum (Patarasuk & Yuan's bandwidth-optimal composition).
-  Scale(static_cast<float>(weights[my_index]), data->data(), data->size());
-  PR_RETURN_NOT_OK(RingReduceScatter(ep, members, my_index, tag, data,
-                                     nullptr, nullptr));
-  return RingAllGather(ep, members, my_index, tag, data);
+  float* buf = data->data();
+  const size_t n = data->size();
+  Scale(static_cast<float>(weights[my_index]), buf, n);
+  PR_RETURN_NOT_OK(
+      ClassicRingPass(ep, members, my_index, tag, kKindRsChunk, 0, buf, n));
+  return ClassicRingPass(ep, members, my_index, tag, kKindAgChunk, 1, buf, n);
 }
 
 Status SegmentedRingWeightedAllReduce(Endpoint* ep,
@@ -217,7 +203,8 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
                                       const std::vector<double>& weights,
                                       size_t my_index, uint64_t tag,
                                       float* data, size_t n,
-                                      size_t segment_floats) {
+                                      size_t segment_floats,
+                                      const RingWatch* watch) {
   PR_CHECK(ep != nullptr);
   PR_CHECK(data != nullptr || n == 0);
   PR_CHECK_GE(segment_floats, size_t{1});
@@ -228,29 +215,15 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
   Scale(static_cast<float>(weights[my_index]), data, n);
   if (p == 1) return Status::OK();
 
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
   const size_t owned = (my_index + 1) % p;
-
-  auto send_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      Buffer b) -> Status {
-    return ep->Send(right, tag, kind,
-                    {static_cast<int64_t>(step), static_cast<int64_t>(chunk),
-                     static_cast<int64_t>(j)},
-                    std::move(b));
-  };
-  // Per-pair FIFO plus the deterministic (step, chunk, segment) schedule
-  // means the next left-neighbour message of this kind *is* the expected
-  // one; the PR_CHECKs assert the protocol rather than select.
+  SegmentLink link(ep, members, my_index, tag, /*encoding=*/0, watch);
   auto recv_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      size_t expect_len) -> std::optional<Buffer> {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
-    if (!env.has_value()) return std::nullopt;
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(chunk));
-    PR_CHECK_EQ(env->ints[2], static_cast<int64_t>(j));
-    PR_CHECK_EQ(env->payload.size(), expect_len);
-    return std::move(env->payload);
+                      size_t expect_len, Buffer* out) -> Status {
+    PR_RETURN_NOT_OK(link.Recv(kind, step, chunk, j, out));
+    if (out->size() != expect_len) {
+      return Status::InvalidArgument("ring: segment length mismatch");
+    }
+    return Status::OK();
   };
 
   // Reduce-scatter, buffer-forwarding form. The only payload
@@ -262,8 +235,8 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
     const size_t nseg = NumSegments(oe - ob, segment_floats);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
-      PR_RETURN_NOT_OK(send_seg(kKindSegRsChunk, 0, my_index, j,
-                                ep->MakePayload(data + sb, se - sb)));
+      PR_RETURN_NOT_OK(link.Send(kKindSegRsChunk, 0, my_index, j,
+                                 ep->MakePayload(data + sb, se - sb)));
     }
   }
   std::vector<Buffer> retained;  // Reduced owned-chunk segments, for the AG.
@@ -275,12 +248,9 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
     if (final_hop) retained.resize(nseg);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegRsChunk, step, recv_chunk, j, se - sb);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during reduce-scatter");
-      }
-      Buffer b = std::move(*got);
+      Buffer b;
+      PR_RETURN_NOT_OK(
+          recv_seg(kKindSegRsChunk, step, recv_chunk, j, se - sb, &b));
       if (se > sb) {
         // partial += mine: same per-element additions as the classic ring's
         // mine += partial (float addition commutes), so results are
@@ -289,7 +259,7 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
       }
       if (!final_hop) {
         PR_RETURN_NOT_OK(
-            send_seg(kKindSegRsChunk, step + 1, recv_chunk, j, std::move(b)));
+            link.Send(kKindSegRsChunk, step + 1, recv_chunk, j, std::move(b)));
       } else {
         // recv_chunk == owned here: the segment is fully reduced. Publish it
         // into the caller's buffer and retain the handle so the all-gather's
@@ -302,14 +272,9 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
 
   // All-gather: zero payload materializations — the first hop sends the
   // retained reduced buffers, later hops copy into place and forward.
-  {
-    auto [ob, oe] = ChunkBounds(n, p, owned);
-    const size_t nseg = NumSegments(oe - ob, segment_floats);
-    PR_CHECK_EQ(nseg, retained.size());
-    for (size_t j = 0; j < nseg; ++j) {
-      PR_RETURN_NOT_OK(
-          send_seg(kKindSegAgChunk, 0, owned, j, std::move(retained[j])));
-    }
+  for (size_t j = 0; j < retained.size(); ++j) {
+    PR_RETURN_NOT_OK(
+        link.Send(kKindSegAgChunk, 0, owned, j, std::move(retained[j])));
   }
   for (size_t step = 0; step + 1 < p; ++step) {
     const size_t recv_chunk = (my_index + p - step) % p;
@@ -318,16 +283,13 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegAgChunk, step, recv_chunk, j, se - sb);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during all-gather");
-      }
-      if (se > sb) std::copy(got->data(), got->data() + (se - sb), data + sb);
+      Buffer b;
+      PR_RETURN_NOT_OK(
+          recv_seg(kKindSegAgChunk, step, recv_chunk, j, se - sb, &b));
+      if (se > sb) std::copy(b.data(), b.data() + (se - sb), data + sb);
       if (!final_hop) {
         PR_RETURN_NOT_OK(
-            send_seg(kKindSegAgChunk, step + 1, recv_chunk, j,
-                     std::move(*got)));
+            link.Send(kKindSegAgChunk, step + 1, recv_chunk, j, std::move(b)));
       }
     }
   }
@@ -340,7 +302,8 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                                         size_t my_index, uint64_t tag,
                                         float* data, size_t n,
                                         Compressor* compressor,
-                                        size_t segment_floats) {
+                                        size_t segment_floats,
+                                        const RingWatch* watch) {
   PR_CHECK(ep != nullptr);
   PR_CHECK(compressor != nullptr);
   PR_CHECK(compressor->enabled());
@@ -353,31 +316,13 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
   Scale(static_cast<float>(weights[my_index]), data, n);
   if (p == 1) return Status::OK();
 
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
   const size_t owned = (my_index + 1) % p;
-  const uint8_t enc = compressor->encoding_tag();
-
-  auto send_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      Buffer blob) -> Status {
-    return ep->Send(right, tag, kind,
-                    {static_cast<int64_t>(step), static_cast<int64_t>(chunk),
-                     static_cast<int64_t>(j)},
-                    std::move(blob), enc);
-  };
-  // Unlike the raw ring, the payload length is *not* asserted on receive:
+  // Unlike the raw ring, the payload length is *not* checked on receive:
   // blob sizes are codec-dependent (top-k blobs scale with k, not the
   // segment length). The decoders validate the element count instead,
   // turning a mismatched blob into an error status rather than a crash.
-  auto recv_seg = [&](int kind, size_t step, size_t chunk,
-                      size_t j) -> std::optional<Buffer> {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
-    if (!env.has_value()) return std::nullopt;
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(chunk));
-    PR_CHECK_EQ(env->ints[2], static_cast<int64_t>(j));
-    return std::move(env->payload);
-  };
+  SegmentLink link(ep, members, my_index, tag, compressor->encoding_tag(),
+                   watch);
 
   // Reduce-scatter. Step 0 encodes this member's own chunk; every later hop
   // decodes the incoming partial sum straight onto its own (pre-scaled)
@@ -392,8 +337,8 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
       PR_RETURN_NOT_OK(
-          send_seg(kKindSegRsChunk, 0, my_index, j,
-                   compressor->EncodeRange(data + sb, sb, se - sb)));
+          link.Send(kKindSegRsChunk, 0, my_index, j,
+                    compressor->EncodeRange(data + sb, sb, se - sb)));
     }
   }
   for (size_t step = 0; step + 1 < p; ++step) {
@@ -403,21 +348,18 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegRsChunk, step, recv_chunk, j);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during reduce-scatter");
-      }
+      Buffer got;
+      PR_RETURN_NOT_OK(link.Recv(kKindSegRsChunk, step, recv_chunk, j, &got));
       const size_t len = se - sb;
       PR_RETURN_NOT_OK(
-          compressor->DecodeAccumulate(*got, data + sb, data + sb, len));
+          compressor->DecodeAccumulate(got, data + sb, data + sb, len));
       // On the final hop recv_chunk == owned: fully reduced, with the
       // owner's own contribution added exactly (never re-encoded before the
       // all-gather).
       if (!final_hop) {
         PR_RETURN_NOT_OK(
-            send_seg(kKindSegRsChunk, step + 1, recv_chunk, j,
-                     compressor->EncodeRange(data + sb, sb, len)));
+            link.Send(kKindSegRsChunk, step + 1, recv_chunk, j,
+                      compressor->EncodeRange(data + sb, sb, len)));
       }
     }
   }
@@ -432,8 +374,8 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
       PR_RETURN_NOT_OK(
-          send_seg(kKindSegAgChunk, 0, owned, j,
-                   compressor->EncodeRangePublish(data + sb, sb, se - sb)));
+          link.Send(kKindSegAgChunk, 0, owned, j,
+                    compressor->EncodeRangePublish(data + sb, sb, se - sb)));
     }
   }
   for (size_t step = 0; step + 1 < p; ++step) {
@@ -443,15 +385,12 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegAgChunk, step, recv_chunk, j);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during all-gather");
-      }
-      PR_RETURN_NOT_OK(compressor->DecodeInto(*got, data + sb, se - sb));
+      Buffer got;
+      PR_RETURN_NOT_OK(link.Recv(kKindSegAgChunk, step, recv_chunk, j, &got));
+      PR_RETURN_NOT_OK(compressor->DecodeInto(got, data + sb, se - sb));
       if (!final_hop) {
-        PR_RETURN_NOT_OK(send_seg(kKindSegAgChunk, step + 1, recv_chunk, j,
-                                  std::move(*got)));
+        PR_RETURN_NOT_OK(link.Send(kKindSegAgChunk, step + 1, recv_chunk, j,
+                                   std::move(got)));
       }
     }
   }
@@ -461,14 +400,15 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const std::vector<double>& weights,
                               size_t my_index, uint64_t tag, float* data,
-                              size_t n, Compressor* compressor) {
+                              size_t n, Compressor* compressor,
+                              const RingWatch* watch) {
   if (compressor != nullptr && compressor->enabled()) {
     return SegmentedRingCompressedAllReduce(ep, members, weights, my_index,
                                             tag, data, n, compressor,
-                                            kDefaultSegmentFloats);
+                                            kDefaultSegmentFloats, watch);
   }
   return SegmentedRingWeightedAllReduce(ep, members, weights, my_index, tag,
-                                        data, n, kDefaultSegmentFloats);
+                                        data, n, kDefaultSegmentFloats, watch);
 }
 
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
@@ -488,106 +428,6 @@ Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                                     1.0 / static_cast<double>(members.size()));
   return GroupWeightedAllReduce(ep, members, weights, my_index, tag, data, n,
                                 compressor);
-}
-
-Status Broadcast(Endpoint* ep, const std::vector<NodeId>& members,
-                 size_t my_index, size_t root_index, uint64_t tag,
-                 std::vector<float>* data) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  if (members.empty() || my_index >= members.size() ||
-      root_index >= members.size()) {
-    return Status::InvalidArgument("broadcast: bad member indices");
-  }
-  if (my_index == root_index) {
-    // One materialization shared by every receiver: payload copies per
-    // broadcast are O(1), not O(P).
-    Buffer payload = ep->MakePayload(data->data(), data->size());
-    for (size_t j = 0; j < members.size(); ++j) {
-      if (j == root_index) continue;
-      PR_RETURN_NOT_OK(
-          ep->Send(members[j], tag, kKindBroadcast, {}, payload));
-    }
-    return Status::OK();
-  }
-  std::optional<Envelope> env =
-      ep->RecvMatching(members[root_index], tag, kKindBroadcast);
-  if (!env.has_value()) {
-    return Status::Cancelled("transport shut down during broadcast");
-  }
-  *data = env->payload.Take();
-  return Status::OK();
-}
-
-Status RingAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
-                            size_t my_index, uint64_t tag,
-                            std::vector<float>* data) {
-  const std::vector<double> weights(members.size(),
-                                    1.0 / static_cast<double>(members.size()));
-  return RingWeightedAllReduce(ep, members, weights, my_index, tag, data);
-}
-
-Status Gather(Endpoint* ep, const std::vector<NodeId>& members,
-              size_t my_index, size_t root_index, uint64_t tag,
-              const std::vector<float>& data, std::vector<Buffer>* gathered) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(gathered != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  if (root_index >= members.size()) {
-    return Status::InvalidArgument("gather: root_index out of range");
-  }
-  gathered->clear();
-  if (my_index != root_index) {
-    return ep->Send(members[root_index], tag, kKindGather, {},
-                    ep->MakePayload(data.data(), data.size()));
-  }
-  gathered->resize(members.size());
-  (*gathered)[root_index] = ep->MakePayload(data.data(), data.size());
-  for (size_t j = 0; j < members.size(); ++j) {
-    if (j == root_index) continue;
-    std::optional<Envelope> env =
-        ep->RecvMatching(members[j], tag, kKindGather);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during gather");
-    }
-    (*gathered)[j] = std::move(env->payload);
-  }
-  return Status::OK();
-}
-
-Status RingBarrier(Endpoint* ep, const std::vector<NodeId>& members,
-                   size_t my_index, uint64_t tag) {
-  PR_CHECK(ep != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  const size_t p = members.size();
-  if (p == 1) return Status::OK();
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  // Token circulation: a token originating at member 0 completes a full
-  // circle only once every member has entered (round 0); a second circle
-  // (round 1) releases everyone.
-  auto pass = [&](int64_t round) -> Status {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindBarrier);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during barrier");
-    }
-    PR_CHECK_EQ(env->ints[0], round);
-    return ep->Send(right, tag, kKindBarrier, {round}, Buffer());
-  };
-  for (int64_t round = 0; round < 2; ++round) {
-    if (my_index == 0) {
-      PR_RETURN_NOT_OK(ep->Send(right, tag, kKindBarrier, {round}, Buffer()));
-      std::optional<Envelope> env =
-          ep->RecvMatching(left, tag, kKindBarrier);
-      if (!env.has_value()) {
-        return Status::Cancelled("transport shut down during barrier");
-      }
-      PR_CHECK_EQ(env->ints[0], round);
-    } else {
-      PR_RETURN_NOT_OK(pass(round));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace pr

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "comm/transport.h"
@@ -19,27 +20,13 @@ class Compressor;
 /// exercised standalone in tests/benchmarks as the reproduction of the
 /// paper's "collective operation" substrate.
 
-/// \brief Weighted all-reduce via a leader: members send their vectors to
-/// members[0], which computes sum_j weights[j] * x_j and broadcasts the
-/// result. Simple O(P * n) reference implementation used for validation and
-/// for small groups.
-///
-/// `data` is this member's vector (length must agree across members) and is
-/// overwritten with the weighted sum. `my_index` is this member's position
-/// in `members`.
-Status LeaderWeightedAllReduce(Endpoint* ep,
-                               const std::vector<NodeId>& members,
-                               const std::vector<double>& weights,
-                               size_t my_index, uint64_t tag,
-                               std::vector<float>* data);
-
 /// \brief Bandwidth-optimal ring all-reduce (reduce-scatter + all-gather,
 /// Patarasuk & Yuan) computing the weighted sum sum_j weights[j] * x_j.
 ///
 /// Each member pre-scales its vector by its own weight, then the ring runs a
 /// plain sum. 2(P-1) steps, each moving ~n/P floats per member. This is the
-/// unsegmented reference schedule: every hop materializes a fresh payload
-/// copy of the outgoing chunk.
+/// unsegmented reference schedule the segmented rings are checked against:
+/// every hop materializes a fresh payload copy of the outgoing chunk.
 Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              const std::vector<double>& weights,
                              size_t my_index, uint64_t tag,
@@ -49,6 +36,20 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
 /// 128 KiB per message, small enough to overlap transfer of segment k with
 /// accumulation of segment k-1, large enough to amortize envelope overhead.
 inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
+
+/// \brief Optional liveness hook for the segmented rings (DESIGN.md §5d).
+///
+/// Without a watch a ring receive blocks until its segment arrives or the
+/// fabric shuts down, and takes the next left-neighbour message of the
+/// expected kind as the expected segment (per-pair FIFO order). With one,
+/// every segment receive selects on (left, tag, kind, step, chunk, segment)
+/// and wakes every `tick_seconds`, so duplicated, delayed or reordered
+/// segments are harmless, and sends are best-effort. Each tick that passes
+/// without the segment calls `on_tick`; returning false abandons the reduce.
+struct RingWatch {
+  double tick_seconds = 0.05;
+  std::function<bool()> on_tick;
+};
 
 /// \brief Segmented, pipelined ring weighted all-reduce with buffer
 /// forwarding.
@@ -71,13 +72,19 @@ inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
 /// `data` may be null only when n == 0. Every chunk circulates at least one
 /// (possibly empty) segment so the message schedule is uniform even when
 /// n < P or n == 0.
+///
+/// Returns Cancelled when the fabric shuts down, Unavailable when `watch`
+/// abandons the reduce, and InvalidArgument for a peer segment that is
+/// malformed or out of schedule (short or mismatched control fields, wrong
+/// payload length). On any non-OK return `data` holds a partial reduce.
 Status SegmentedRingWeightedAllReduce(Endpoint* ep,
                                       const std::vector<NodeId>& members,
                                       const std::vector<double>& weights,
                                       size_t my_index, uint64_t tag,
                                       float* data, size_t n,
                                       size_t segment_floats =
-                                          kDefaultSegmentFloats);
+                                          kDefaultSegmentFloats,
+                                      const RingWatch* watch = nullptr);
 
 /// \brief Segmented ring all-reduce with per-hop payload compression
 /// (DESIGN.md §5i). Same pipelined schedule as the uncompressed segmented
@@ -90,7 +97,9 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
 /// at the same element positions.
 ///
 /// `compressor` must be enabled and is this member's private state (one per
-/// worker, reused across reduces so residuals accumulate).
+/// worker, reused across reduces so residuals accumulate). `watch` and the
+/// status codes are as for the uncompressed ring; an undecodable blob is
+/// InvalidArgument.
 Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                                         const std::vector<NodeId>& members,
                                         const std::vector<double>& weights,
@@ -98,17 +107,19 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                                         float* data, size_t n,
                                         Compressor* compressor,
                                         size_t segment_floats =
-                                            kDefaultSegmentFloats);
+                                            kDefaultSegmentFloats,
+                                        const RingWatch* watch = nullptr);
 
 /// \brief The single dispatch point strategies use for a group's weighted
 /// reduce. With no compressor (or a disabled one) this is the segmented
 /// pipelined ring, bitwise-identical to the unsegmented reference; an
 /// enabled compressor selects the compressed ring, which reuses the same
-/// segmented schedule with encoded payloads.
+/// segmented schedule with encoded payloads. `watch` reaches either ring.
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const std::vector<double>& weights,
                               size_t my_index, uint64_t tag, float* data,
-                              size_t n, Compressor* compressor = nullptr);
+                              size_t n, Compressor* compressor = nullptr,
+                              const RingWatch* watch = nullptr);
 
 /// Compatibility overload over a whole vector.
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
@@ -122,48 +133,5 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
 Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag, float* data,
                              size_t n, Compressor* compressor = nullptr);
-
-/// \brief Broadcast from members[root_index] to the rest of `members`.
-/// On the root, `data` is the payload; on others it is overwritten.
-Status Broadcast(Endpoint* ep, const std::vector<NodeId>& members,
-                 size_t my_index, size_t root_index, uint64_t tag,
-                 std::vector<float>* data);
-
-/// \brief Uniform-average all-reduce (weights = 1/P each), the classic
-/// All-Reduce primitive, over the ring algorithm.
-Status RingAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
-                            size_t my_index, uint64_t tag,
-                            std::vector<float>* data);
-
-/// \brief Ring reduce-scatter: on return, `data`'s chunk
-/// (my_index + 1) % P holds the element-wise sum over all members; other
-/// chunks hold partial sums and must be treated as garbage. `chunk_begin` /
-/// `chunk_end` receive this member's owned range.
-Status RingReduceScatter(Endpoint* ep, const std::vector<NodeId>& members,
-                         size_t my_index, uint64_t tag,
-                         std::vector<float>* data, size_t* chunk_begin,
-                         size_t* chunk_end);
-
-/// \brief Ring all-gather: each member owns chunk (my_index + 1) % P of
-/// `data` on entry; on return every member holds all chunks. Composes with
-/// RingReduceScatter into an all-reduce (which is exactly how
-/// RingWeightedAllReduce is built — these entry points expose the halves
-/// for gradient-bucketing use cases).
-Status RingAllGather(Endpoint* ep, const std::vector<NodeId>& members,
-                     size_t my_index, uint64_t tag, std::vector<float>* data);
-
-/// \brief Gather: every member sends its vector to members[root_index];
-/// on the root, `gathered` receives P shared payload handles in member
-/// order (empty elsewhere). The root adopts each arriving Buffer instead of
-/// materializing P full float-vector copies; callers needing a private
-/// vector use Buffer::Take() per entry.
-Status Gather(Endpoint* ep, const std::vector<NodeId>& members,
-              size_t my_index, size_t root_index, uint64_t tag,
-              const std::vector<float>& data, std::vector<Buffer>* gathered);
-
-/// \brief Barrier over `members`: returns once every member has entered.
-/// Implemented as a zero-payload ring circulation (2(P-1) messages).
-Status RingBarrier(Endpoint* ep, const std::vector<NodeId>& members,
-                   size_t my_index, uint64_t tag);
 
 }  // namespace pr

@@ -152,16 +152,18 @@ struct FaultPlan {
   /// window from these).
   int reregister_report_groups = 8;
 
-  /// Runs the fault-tolerant protocol (leases, eviction, abort/retry) even
-  /// with nothing scheduled above. Multi-process runs set this so *real*
-  /// failures — a killed worker process, a torn connection — are survived:
-  /// over sockets a dead peer is simply silent, and only the hardened
-  /// protocol reacts to silence.
+  /// Arms the P-Reduce liveness valves (lease eviction, verdict give-up,
+  /// stuck reports, reduce-stall abandon) even with nothing scheduled
+  /// above. P-Reduce always runs its one fault-tolerant protocol, but a
+  /// plan that can inject nothing otherwise waits on a silent peer forever.
+  /// Multi-process runs set this so *real* failures — a killed worker
+  /// process, a torn connection — are survived: over sockets a dead peer is
+  /// simply silent, and only the armed valves react to silence.
   bool force_fault_tolerant = false;
 
   /// True when this plan can inject anything (or force_fault_tolerant is
-  /// set); false plans leave every runtime code path on the fault-free fast
-  /// path.
+  /// set). An enabled plan arms the liveness valves and publishes the
+  /// fault.* metric family; it never changes which protocol runs.
   bool enabled() const;
 
   /// Fault plans are only meaningful for a controller-mediated P-Reduce run;
@@ -173,7 +175,7 @@ struct FaultPlan {
   bool has_controller_faults() const;
 
   /// True when the plan schedules at least one network partition (switches
-  /// the threaded runtime to the severable transport + hardened protocol).
+  /// the threaded runtime to the severable transport).
   bool has_partitions() const;
 
   const EdgeFaultSpec& EdgeSpec(int from, int to) const;

@@ -62,8 +62,8 @@ Status Launch(const LaunchOptions& options, LaunchResult* result) {
         StrategyKindName(config.strategy.kind));
   }
   if (options.kill.armed()) {
-    // A killed process is a real failure; only the fault-tolerant protocol
-    // (leases, eviction, abort/retry) survives one.
+    // A killed process is a real failure; only the armed liveness valves
+    // (leases, eviction, abort/retry) survive one.
     config.run.fault.force_fault_tolerant = true;
   }
   ValidateRunConfig(config);

@@ -14,7 +14,7 @@ namespace pr {
 /// \brief Optional mid-run process kill, the multi-process analogue of the
 /// chaos suite's injected crashes: the launcher SIGKILLs the chosen
 /// worker's process once `after_seconds` of run time have elapsed. The
-/// remaining processes must survive via the fault-tolerant protocol (the
+/// remaining processes must survive through P-Reduce's liveness valves (the
 /// launcher forces `fault.force_fault_tolerant` on when a kill is armed).
 struct KillSpec {
   int worker = -1;  ///< worker node to kill; -1 disables

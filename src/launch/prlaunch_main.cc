@@ -8,7 +8,8 @@
 // point: the launcher re-execs it with `--role node` for each process.
 //
 // Chaos: --kill-worker W --kill-after S SIGKILLs worker W's process mid-run;
-// the survivors must finish through the fault-tolerant protocol. Parity:
+// the survivors must finish through P-Reduce's armed liveness valves (a
+// kill implies --ft). Parity:
 // --compare-inproc re-runs the identical config on the in-proc engine and
 // fails (exit 1) if the final losses differ by more than --loss-tol, or if
 // an All-Reduce run's transport.payload_copies counters diverge (the
@@ -57,7 +58,9 @@ int Usage(const char* argv0) {
       "      --cross-period K  cross-node merge every K groups (default 4)\n"
       "      --workdir DIR     scratch dir (default: mkdtemp under /tmp)\n"
       "      --tcp             TCP loopback instead of Unix-domain sockets\n"
-      "      --ft              force the fault-tolerant protocol\n"
+      "      --ft              arm the liveness valves (evict, abort and\n"
+      "                        retry on a silent peer) with no faults\n"
+      "                        scheduled; implied by --kill-worker\n"
       "      --kill-worker W   SIGKILL worker W's process mid-run\n"
       "      --kill-after S    seconds before the kill (default 0.25)\n"
       "      --ckpt-dir DIR    coordinated checkpoint directory\n"
@@ -307,8 +310,9 @@ int LauncherMain(int argc, char** argv) {
 
   int rc = 0;
   if (compare_inproc) {
-    // Reproduce exactly what Launch ran: a kill forces the FT protocol on
-    // the socket side, so the in-proc baseline runs it too (uninterrupted).
+    // Reproduce exactly what Launch ran: a kill arms the liveness valves on
+    // the socket side, so the in-proc baseline arms them too
+    // (uninterrupted).
     RunConfig inproc = config;
     if (options.kill.armed()) inproc.run.fault.force_fault_tolerant = true;
     ThreadedRunResult baseline = RunThreaded(inproc);

@@ -172,9 +172,9 @@ struct ThreadedRunOptions {
   /// Fault-injection schedule (P-Reduce kinds only): per-edge message
   /// drop/dup/delay via a FaultyTransport wrapped around the in-proc
   /// fabric, plus per-worker crash/hang/slowdown events. An enabled plan
-  /// also switches the P-Reduce control plane to its fault-tolerant
-  /// protocol (heartbeat leases, lease-based eviction, group abort/retry);
-  /// a default-constructed plan leaves every fast path untouched.
+  /// also arms the P-Reduce liveness valves (heartbeat leases, lease-based
+  /// eviction, group abort/retry); a default-constructed plan runs the same
+  /// protocol with infinite give-up horizons.
   FaultPlan fault;
 
   /// Cluster placement (nodes × workers). Flat (the default) reproduces the
