@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/simd.h"
 
 namespace pr {
 namespace {
@@ -67,19 +68,9 @@ Status CheckCountAndSize(const Buffer& blob, size_t n, size_t expected_bytes,
   return Status::OK();
 }
 
-// The per-chunk kernels below are built twice on x86-64 GCC, once for the
-// baseline ISA and once for AVX2 (without FMA, so no multiply-add is ever
-// contracted), and the loader picks one for the host. Every kernel is
-// element-wise IEEE arithmetic plus a fixed-lane min/max, so both builds
-// produce bitwise identical blobs, residuals and decoded values. Thread-
-// sanitizer builds keep only the baseline: TSan instruments the loader's
-// resolver, which then runs before the TSan runtime is up and crashes.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__linux__) && !defined(__SANITIZE_THREAD__)
-#define PR_CODEC_KERNEL __attribute__((target_clones("avx2", "default")))
-#else
-#define PR_CODEC_KERNEL
-#endif
+// The per-chunk kernels below are PR_SIMD_KERNELs: every one is element-wise
+// IEEE arithmetic plus a fixed-lane min/max, so the baseline and AVX2 builds
+// produce bitwise identical blobs, residuals and decoded values.
 
 // Chunking shared by the fused kernels: each chunk is small enough that its
 // second pass reads from L1.
@@ -150,8 +141,8 @@ inline float HalfBitsToFloat(uint32_t h) {
 /// the halves (straight into the blob, low byte first), the residual and
 /// the published values together.
 template <bool kFeedback, bool kPublish>
-PR_CODEC_KERNEL void Fp16EncodeChunk(const float* x, float* r, size_t len,
-                                     unsigned char* halves, float* publish) {
+PR_SIMD_KERNEL void Fp16EncodeChunk(const float* x, float* r, size_t len,
+                                    unsigned char* halves, float* publish) {
   if constexpr (kFeedback) {
     // Fold first, so a `publish` that aliases `x` is only written after `x`
     // has been read.
@@ -172,8 +163,8 @@ PR_CODEC_KERNEL void Fp16EncodeChunk(const float* x, float* r, size_t len,
 }
 
 template <bool kAdd>
-PR_CODEC_KERNEL void Fp16DecodeChunk(const uint16_t* halves, const float* add,
-                                     float* out, size_t len) {
+PR_SIMD_KERNEL void Fp16DecodeChunk(const uint16_t* halves, const float* add,
+                                    float* out, size_t len) {
   for (size_t i = 0; i < len; ++i) {
     const float d = HalfBitsToFloat(halves[i]);
     out[i] = kAdd ? d + add[i] : d;
@@ -272,7 +263,7 @@ ChunkRange SequentialRange(const float* s, size_t len) {
 /// zero; that case, infinities and NaNs (all caught by the `v - v` probe)
 /// take the sequential scan again.
 template <bool kFeedback>
-PR_CODEC_KERNEL ChunkRange FoldAndRange(const float* x, float* r, size_t len) {
+PR_SIMD_KERNEL ChunkRange FoldAndRange(const float* x, float* r, size_t len) {
   constexpr size_t kLanes = 16;
   constexpr float kInf = std::numeric_limits<float>::infinity();
   float lo[kLanes], hi[kLanes], probe[kLanes];
@@ -310,9 +301,9 @@ PR_CODEC_KERNEL ChunkRange FoldAndRange(const float* x, float* r, size_t len) {
 /// Second pass: quantize `send`, and write the residual and published
 /// values from the same decoded value Decode would produce.
 template <bool kFeedback, bool kPublish>
-PR_CODEC_KERNEL void QuantizeChunk(const float* send, float lo, float scale,
-                                   size_t len, unsigned char* q, float* r,
-                                   float* publish) {
+PR_SIMD_KERNEL void QuantizeChunk(const float* send, float lo, float scale,
+                                  size_t len, unsigned char* q, float* r,
+                                  float* publish) {
   for (size_t i = 0; i < len; ++i) {
     const float s = send[i];
     float v = (s - lo) / scale + 0.5f;
@@ -329,9 +320,9 @@ PR_CODEC_KERNEL void QuantizeChunk(const float* send, float lo, float scale,
 }
 
 template <bool kAdd>
-PR_CODEC_KERNEL void DequantizeChunk(const unsigned char* q, float lo,
-                                     float scale, const float* add, float* out,
-                                     size_t len) {
+PR_SIMD_KERNEL void DequantizeChunk(const unsigned char* q, float lo,
+                                    float scale, const float* add, float* out,
+                                    size_t len) {
   for (size_t i = 0; i < len; ++i) {
     const float d = lo + scale * static_cast<float>(q[i]);
     out[i] = kAdd ? d + add[i] : d;

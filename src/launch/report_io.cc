@@ -1,24 +1,24 @@
 #include "launch/report_io.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace pr {
 namespace {
 
+// The replica travels as the host's own float bytes, which are the format's
+// little-endian binary32 only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "prreport 2 stores the replica as little-endian binary32");
+
 std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Floats get the shorter exact form: 9 significant decimal digits
-// round-trip any binary32 value.
-std::string NumF(float v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(v));
   return buf;
 }
 
@@ -31,7 +31,7 @@ Status BadLine(int line_no, const std::string& what) {
 
 std::string SerializeProcessReport(const ProcessReport& report) {
   std::ostringstream out;
-  out << "prreport 1\n";
+  out << "prreport 2\n";
   out << "node " << report.node << "\n";
   out << "role " << report.role << "\n";
   out << "strategy " << report.strategy << "\n";
@@ -47,9 +47,10 @@ std::string SerializeProcessReport(const ProcessReport& report) {
     out << "finish " << w << " " << Num(report.worker_finish_seconds[w])
         << "\n";
   }
-  out << "replica " << report.replica.size();
-  for (float v : report.replica) out << " " << NumF(v);
-  out << "\n";
+  out << "replica " << report.replica.size() << "\n";
+  out.write(reinterpret_cast<const char*>(report.replica.data()),
+            static_cast<std::streamsize>(report.replica.size() *
+                                         sizeof(float)));
   for (const auto& [name, value] : report.metrics.counters) {
     out << "counter " << name << " " << Num(value) << "\n";
   }
@@ -68,8 +69,7 @@ std::string SerializeProcessReport(const ProcessReport& report) {
 
 Status ParseProcessReport(const std::string& text, ProcessReport* out) {
   ProcessReport report;
-  std::istringstream lines(text);
-  std::string line;
+  size_t pos = 0;  // start of the next line in `text`
   int line_no = 0;
   bool saw_header = false;
   bool saw_end = false;
@@ -79,7 +79,11 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
   std::vector<std::pair<size_t, size_t>> iteration_entries;
   std::vector<std::pair<size_t, double>> finish_entries;
 
-  while (std::getline(lines, line)) {
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(pos, eol - pos);
+    pos = std::min(eol + 1, text.size());
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     if (saw_end) return BadLine(line_no, "content after 'end' sentinel");
@@ -90,9 +94,9 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
 
     if (!saw_header) {
       int version = 0;
-      if (key != "prreport" || !(values >> version) || version != 1) {
+      if (key != "prreport" || !(values >> version) || version != 2) {
         return Status::InvalidArgument(
-            "report does not start with a 'prreport 1' header");
+            "report does not start with a 'prreport 2' header");
       }
       saw_header = true;
       continue;
@@ -126,15 +130,20 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
       if (!(values >> w >> t)) return BadLine(line_no, "bad finish");
       finish_entries.emplace_back(w, t);
     } else if (key == "replica") {
+      // The n values follow the line as raw bytes; check they are all there
+      // before allocating anything for them.
       size_t n = 0;
       if (!(values >> n)) return BadLine(line_no, "bad replica length");
-      report.replica.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!(values >> report.replica[i])) {
-          return BadLine(line_no, "replica truncated at element " +
-                                      std::to_string(i));
-        }
+      if (n > (text.size() - pos) / sizeof(float)) {
+        return BadLine(line_no, "replica of " + std::to_string(n) +
+                                    " values runs past the end of the report");
       }
+      report.replica.resize(n);
+      if (n > 0) {
+        std::memcpy(report.replica.data(), text.data() + pos,
+                    n * sizeof(float));
+      }
+      pos += n * sizeof(float);
     } else if (key == "counter") {
       std::string name;
       double value = 0.0;
@@ -150,6 +159,10 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
       size_t num_bounds = 0;
       if (!(values >> name >> num_bounds)) {
         return BadLine(line_no, "bad histogram");
+      }
+      // Every bound and count takes at least two characters of the line.
+      if (num_bounds > line.size() / 4) {
+        return BadLine(line_no, "histogram bounds exceed the line");
       }
       HistogramSnapshot h;
       h.upper_bounds.resize(num_bounds);
@@ -193,7 +206,7 @@ Status SaveProcessReport(const std::string& path,
                          const ProcessReport& report) {
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::Internal("cannot open " + tmp + " for writing");
     out << SerializeProcessReport(report);
     out.flush();
@@ -206,11 +219,16 @@ Status SaveProcessReport(const std::string& path,
 }
 
 Status LoadProcessReport(const std::string& path, ProcessReport* out) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("report file " + path + " not readable");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseProcessReport(text.str(), out);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::Internal("cannot size " + path);
+  std::string text(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+    return Status::Internal("short read from " + path);
+  }
+  return ParseProcessReport(text, out);
 }
 
 }  // namespace pr

@@ -13,9 +13,11 @@ namespace pr {
 ///
 /// Written (atomically, temp + rename) as the process's last act before
 /// exiting; the launcher reads every surviving process's report and merges
-/// them into one run-level result. The format is the same line-oriented
-/// text as the config file, closed by an `end` sentinel so a report cut
-/// short by a crash is distinguishable from a complete one.
+/// them into one run-level result. The format (`prreport 2`) is the same
+/// line-oriented text as the config file, except that the `replica <n>`
+/// line is followed by exactly 4n bytes of little-endian binary32 values.
+/// An `end` sentinel closes the report, so a report cut short by a crash is
+/// distinguishable from a complete one.
 struct ProcessReport {
   int node = -1;               ///< transport node id this process hosted
   std::string role;            ///< "worker" or "service"

@@ -134,11 +134,10 @@ float ConvNet::LossAndGradient(const float* params, const Tensor& x,
   const size_t hw = height_ * width_;
   const size_t feat_dim = filters_ * hw;
 
-  // Dense head gradients: dW = features^T * dlogits, db = col sums.
-  Tensor ddense_w;
-  MatMulTransA(features, dlogits, &ddense_w);
-  std::memcpy(grad + dense_w_off_, ddense_w.data(),
-              ddense_w.size() * sizeof(float));
+  // Dense head gradients: dW = features^T * dlogits, written straight into
+  // the gradient; db = col sums.
+  GemmTN(features.data(), dlogits.data(), /*m=*/feat_dim, /*k=*/batch,
+         /*n=*/static_cast<size_t>(num_classes_), grad + dense_w_off_);
   for (size_t r = 0; r < batch; ++r) {
     Axpy(1.0f, dlogits.Row(r), grad + dense_b_off_,
          static_cast<size_t>(num_classes_));

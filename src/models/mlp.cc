@@ -1,8 +1,9 @@
 #include "models/mlp.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -100,27 +101,28 @@ float Mlp::LossAndGradient(const float* params, const Tensor& x,
   Tensor delta;  // gradient w.r.t. current layer's pre-activation output
   const float loss = CrossEntropyFromProbs(probs, y, &delta);
 
-  std::memset(grad, 0, num_params_ * sizeof(float));
-  // Backward pass, last layer to first.
+  // Backward pass, last layer to first. Every weight range of `grad` is
+  // overwritten by its dW kernel, so only the bias ranges are zeroed before
+  // they accumulate.
+  Tensor prev_delta;  // scratch, swapped with delta after each layer
   for (size_t l = layers_.size(); l-- > 0;) {
     const LayerOffsets& lo = layers_[l];
     const Tensor& input = (l == 0) ? x : acts[l - 1];
 
-    // dW = input^T * delta; db = column sums of delta.
-    Tensor dw;
-    MatMulTransA(input, delta, &dw);
-    std::memcpy(grad + lo.w, dw.data(), dw.size() * sizeof(float));
+    // dW = input^T * delta, straight into the gradient; db = column sums.
+    GemmTN(input.data(), delta.data(), /*m=*/lo.in, /*k=*/delta.rows(),
+           /*n=*/lo.out, grad + lo.w);
+    std::fill(grad + lo.b, grad + lo.b + lo.out, 0.0f);
     for (size_t r = 0; r < delta.rows(); ++r) {
       Axpy(1.0f, delta.Row(r), grad + lo.b, lo.out);
     }
 
     if (l > 0) {
       // delta_prev = delta * W^T, masked by ReLU'(acts[l-1]).
-      Tensor prev_delta;
       MatMulTransBSpan(delta, params + lo.w, /*n=*/lo.in, /*k=*/lo.out,
                        &prev_delta);
       ReluBackward(acts[l - 1], &prev_delta);
-      delta = std::move(prev_delta);
+      std::swap(delta, prev_delta);
     }
   }
   return loss;

@@ -12,7 +12,7 @@ namespace pr {
 /// Layer sizes are [input_dim, hidden..., num_classes]; an empty `hidden`
 /// list yields plain softmax regression. Backprop is hand-written (no
 /// autograd): for each layer we keep post-activation values from the forward
-/// pass and chain gradients through MatMulTransA/TransB.
+/// pass and chain gradients through the TN and NT GEMM kernels.
 ///
 /// Parameter layout in the flat vector, layer by layer:
 ///   W_0 [in, h0] row-major, b_0 [h0], W_1 [h0, h1], b_1 [h1], ...

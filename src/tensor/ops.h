@@ -11,6 +11,22 @@ namespace pr {
 /// only numeric primitives the model zoo uses, so correctness tests here
 /// cover the whole math substrate.
 
+/// Row-major GEMM kernels over raw spans. Each overwrites all of `out`
+/// ([m,n]) and computes every output element as one add chain that starts
+/// at +0 and adds its k terms in ascending order, so the results are
+/// bitwise identical to the textbook loops on every host (DESIGN.md §5l).
+/// NN and TN skip the terms whose A element compares equal to zero.
+///
+/// out = A * B for A [m,k] and B [k,n].
+void GemmNN(const float* a, const float* b, size_t m, size_t k, size_t n,
+            float* out);
+/// out = A * B^T for A [m,k] and B [n,k].
+void GemmNT(const float* a, const float* b, size_t m, size_t k, size_t n,
+            float* out);
+/// out = A^T * B for A [k,m] and B [k,n].
+void GemmTN(const float* a, const float* b, size_t m, size_t k, size_t n,
+            float* out);
+
 /// out = A * B for matrices A [m,k] and B [k,n]. `out` is resized/overwritten.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
 

@@ -89,6 +89,14 @@ class Tensor {
     return data_.data() + r * shape_[1];
   }
 
+  /// Makes this a `rows x cols` matrix, keeping the storage when it is
+  /// large enough. Element values are unspecified afterwards: this is for
+  /// outputs that the caller overwrites in full.
+  void Reshape(size_t rows, size_t cols) {
+    shape_ = {rows, cols};
+    data_.resize(rows * cols);
+  }
+
   /// Sets every element to `value`.
   void Fill(float value);
 

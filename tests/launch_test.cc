@@ -1,9 +1,12 @@
 #include "launch/launcher.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -512,6 +515,59 @@ TEST(ReportIoTest, TruncatedReportIsRejected) {
   EXPECT_FALSE(ParseProcessReport("", &parsed).ok());
   EXPECT_FALSE(ParseProcessReport("prreport 1\nnonsense 1\nend\n", &parsed)
                    .ok());
+}
+
+TEST(ReportIoTest, ReplicaBitsRoundTripExactly) {
+  ProcessReport report = FancyReport();
+  report.replica = {-0.0f,
+                    std::bit_cast<float>(0x7fc01234u),  // quiet NaN, payload
+                    std::bit_cast<float>(0xffa00001u),  // signalling NaN
+                    std::numeric_limits<float>::denorm_min(),
+                    -1.5e-39f,  // subnormal
+                    -std::numeric_limits<float>::infinity(),
+                    std::bit_cast<float>(0x0a0d0a0du)};  // looks like "\n\r"
+  ProcessReport parsed;
+  ASSERT_TRUE(ParseProcessReport(SerializeProcessReport(report), &parsed).ok());
+  ASSERT_EQ(parsed.replica.size(), report.replica.size());
+  for (size_t i = 0; i < report.replica.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(parsed.replica[i]),
+              std::bit_cast<uint32_t>(report.replica[i]))
+        << "value " << i;
+  }
+  // Service processes report no replica at all.
+  report.replica.clear();
+  ASSERT_TRUE(ParseProcessReport(SerializeProcessReport(report), &parsed).ok());
+  EXPECT_TRUE(parsed.replica.empty());
+}
+
+TEST(ReportIoTest, CutBinaryReplicaIsRejected) {
+  ProcessReport report = FancyReport();
+  report.replica.assign(1000, 0.25f);
+  const std::string text = SerializeProcessReport(report);
+  const size_t start = text.find("replica 1000\n") + 13;
+  ProcessReport parsed;
+  // The file ends inside the replica bytes.
+  EXPECT_FALSE(ParseProcessReport(text.substr(0, start + 2000), &parsed).ok());
+  // Four bytes are missing from the middle of them, so the replica swallows
+  // the start of the next line.
+  const std::string holed = text.substr(0, start + 2000) +
+                            text.substr(start + 2004);
+  EXPECT_FALSE(ParseProcessReport(holed, &parsed).ok());
+}
+
+TEST(ReportIoTest, InflatedLengthsAreRejectedBeforeAllocating) {
+  // Lengths whose allocation would throw: the parser must check them
+  // against what the report holds first.
+  const std::string head = "prreport 2\nnode 1\nrole worker\n";
+  ProcessReport parsed;
+  EXPECT_FALSE(ParseProcessReport(head + "replica 4611686018427387904\n" +
+                                      std::string(64, 'x') + "\nend\n",
+                                  &parsed)
+                   .ok());
+  EXPECT_FALSE(
+      ParseProcessReport(
+          head + "hist h 4611686018427387904 1 2 3\nend\n", &parsed)
+          .ok());
 }
 
 TEST(MergeSnapshotsTest, MergesLikeRegistryShards) {

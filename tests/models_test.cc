@@ -142,6 +142,50 @@ TEST(MlpTest, TrainsToHighAccuracyOnSeparableData) {
   EXPECT_GT(EvaluateAccuracy(m, params.data(), split.test), 0.9);
 }
 
+/// FNV-1a over the bit patterns of `n` floats, continuing from `h`.
+uint64_t Fnv1aBits(const float* v, size_t n,
+                   uint64_t h = 14695981039346656037ull) {
+  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(v);
+  for (size_t i = 0; i < n * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The loss and every gradient bit at the benchmark's two model sizes
+// (MLP[256,256] at batch 64 and MLP[1024,1024] at batch 2, 64 inputs, 10
+// classes). The hashes were recorded from the scalar i-k-j / dot-product
+// loops the tiled kernels replaced; the gradient buffer starts as NaN so
+// every element the backward fails to write changes the hash.
+TEST(MlpTest, GoldenGradients) {
+  struct Case {
+    std::vector<size_t> hidden;
+    size_t batch;
+    uint64_t hash;
+  };
+  const Case cases[] = {{{256, 256}, 64, 0x49d2bd47d00ceeedull},
+                        {{1024, 1024}, 2, 0x7cfd2ceac78c642full}};
+  for (const Case& c : cases) {
+    Mlp m(64, c.hidden, 10);
+    Rng rng(17);
+    std::vector<float> params;
+    m.InitParams(&params, &rng);
+    Tensor x(c.batch, 64);
+    x.FillNormal(&rng, 1.0f);
+    // Exact zeros in the input exercise the zero-skip of the first layer.
+    for (size_t i = 0; i < x.size(); i += 5) x.data()[i] = 0.0f;
+    std::vector<int> y(c.batch);
+    for (int& label : y) label = static_cast<int>(rng.UniformInt(10));
+
+    std::vector<float> grad(m.NumParams(), std::nanf(""));
+    const float loss = m.LossAndGradient(params.data(), x, y, grad.data());
+    const uint64_t hash =
+        Fnv1aBits(&loss, 1, Fnv1aBits(grad.data(), grad.size()));
+    EXPECT_EQ(hash, c.hash) << std::hex << "0x" << hash << " at batch "
+                            << std::dec << c.batch;
+  }
+}
+
 TEST(EvaluateTest, PerfectPredictorScoresOne) {
   // A softmax regression whose weights directly copy a one-hot feature.
   Mlp m(3, {}, 3);
