@@ -12,7 +12,7 @@
 // codec pays for itself in-process), and the end-of-run
 // training-loss delta each codec costs versus fp32 for CON/DYN/AR under
 // both engines. CI asserts int8 >= 3.5x and fp16 >= 1.9x bytes reduction
-// and <= 2% loss delta for fp16/int8 (top-k is reported, not gated).
+// and <= 2% loss delta for fp16/int8.
 //
 // Flags: --out <path> (default BENCH_collectives.json)
 //        --members <n> (default 8), --reps <n> (default 5)
@@ -34,7 +34,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -96,9 +96,9 @@ AlgoResult RunAlgo(const std::string& name, size_t p, size_t n, int reps,
   return result;
 }
 
-const pr::CompressionKind kCodecs[] = {
-    pr::CompressionKind::kNone, pr::CompressionKind::kFp16,
-    pr::CompressionKind::kInt8, pr::CompressionKind::kTopK};
+const pr::CompressionKind kCodecs[] = {pr::CompressionKind::kNone,
+                                       pr::CompressionKind::kFp16,
+                                       pr::CompressionKind::kInt8};
 
 // Small, deliberately shallow training runs (tiny learning rate, uniform
 // delays) so the only thing that can separate two runs' final losses is the
@@ -123,14 +123,18 @@ pr::RunConfig ThreadedLossConfig(pr::StrategyKind kind,
   return config;
 }
 
-pr::ExperimentConfig SimLossConfig(pr::StrategyKind kind,
-                                   pr::CompressionKind codec) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.max_updates = 30;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 11;
-  config.training.sgd.learning_rate = 0.001;
+pr::RunConfig SimLossConfig(pr::StrategyKind kind,
+                            pr::CompressionKind codec) {
+  pr::RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.sim.eval_every = 25;
+  config.run.num_workers = 4;
+  config.sim.max_updates = 30;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 11;
+  config.run.sgd.learning_rate = 0.001;
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
   config.strategy.compression = codec;
@@ -245,7 +249,7 @@ int main(int argc, char** argv) {
   json.Key("floats").UInt(compress_floats);
   json.Key("codecs").BeginArray();
   double none_bytes = 0.0, none_seconds = 0.0;
-  double fp16_ratio = 0.0, int8_ratio = 0.0, topk_ratio = 0.0;
+  double fp16_ratio = 0.0, int8_ratio = 0.0;
   double fp16_time_ratio = 0.0, int8_time_ratio = 0.0;
   for (pr::CompressionKind codec : kCodecs) {
     // One compressor per member, shared across reps (residuals persist, but
@@ -277,7 +281,6 @@ int main(int argc, char** argv) {
       int8_ratio = ratio;
       int8_time_ratio = time_ratio;
     }
-    if (codec == pr::CompressionKind::kTopK) topk_ratio = ratio;
     json.BeginObject();
     json.Key("codec").String(r.algo);
     json.Key("best_seconds").Number(r.seconds);
@@ -310,9 +313,10 @@ int main(int argc, char** argv) {
     double threaded_fp32 = 0.0, sim_fp32 = 0.0;
     for (pr::CompressionKind codec : kCodecs) {
       pr::ThreadedRunResult threaded =
-          pr::RunThreaded(ThreadedLossConfig(strat.kind, codec));
+          pr::StartRun(ThreadedLossConfig(strat.kind, codec)).threaded;
       pr::SimRunResult sim =
-          pr::RunExperiment(SimLossConfig(strat.kind, codec));
+          pr::StartRun(SimLossConfig(strat.kind, codec), pr::EngineKind::kSim)
+              .sim;
       const double sim_loss = sim.curve.empty() ? 0.0 : sim.curve.back().loss;
       if (codec == pr::CompressionKind::kNone) {
         threaded_fp32 = threaded.final_loss;
@@ -356,7 +360,6 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.Key("fp16_bytes_ratio").Number(fp16_ratio);
   json.Key("int8_bytes_ratio").Number(int8_ratio);
-  json.Key("topk_bytes_ratio").Number(topk_ratio);
   json.Key("max_loss_rel_delta_fp16_int8").Number(max_gated_delta);
 
   json.EndObject();
@@ -369,10 +372,9 @@ int main(int argc, char** argv) {
   std::printf("\nsegmented vs classic ring at %zu floats: %.2fx\n", sizes[3],
               headline_speedup);
   std::printf(
-      "bytes on wire vs fp32 at %zu floats: fp16 %.2fx, int8 %.2fx, "
-      "topk %.2fx; worst fp16/int8 loss delta %.3f%%\n",
-      compress_floats, fp16_ratio, int8_ratio, topk_ratio,
-      max_gated_delta * 100.0);
+      "bytes on wire vs fp32 at %zu floats: fp16 %.2fx, int8 %.2fx; "
+      "worst fp16/int8 loss delta %.3f%%\n",
+      compress_floats, fp16_ratio, int8_ratio, max_gated_delta * 100.0);
   std::printf("ring time vs fp32 at %zu floats: fp16 %.2fx, int8 %.2fx\n",
               compress_floats, fp16_time_ratio, int8_time_ratio);
   if (!pr::WriteTextFile(out_path, json.str())) {

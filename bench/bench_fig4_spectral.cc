@@ -6,25 +6,29 @@
 #include <cstdio>
 
 #include "core/spectral.h"
-#include "train/experiment.h"
+#include "strategies/strategy.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 double MeasuredRho(int n, int p, const pr::HeteroSpec& hetero,
                    uint64_t seed = 29) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.timing_only = true;
-  config.training.timing_updates = 8000;
-  config.training.hetero = hetero;
-  config.training.seed = seed;
+  pr::RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.num_workers = n;
+  config.sim.timing_only = true;
+  config.sim.max_updates = 8000;
+  config.sim.hetero = hetero;
+  config.run.seed = seed;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = p;
   config.strategy.record_sync_matrices = true;
 
-  pr::SimTraining ctx(config.training);
-  auto strategy = pr::MakeStrategy(config.strategy, &ctx);
+  pr::SimTraining ctx(config);
+  auto strategy = pr::MakeStrategy(&ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
   return pr::SpectralRho(strategy->controller()->ExpectedSyncMatrix());

@@ -5,22 +5,24 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig Config(pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 16;
-  config.training.dataset = "cifar100";
-  config.training.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
-  config.training.paper_model = "resnet34";
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.accuracy_threshold = 0.50;
-  config.training.max_updates = 60000;
-  config.training.eval_every = 50;
-  config.training.seed = 43;
+pr::RunConfig Config(pr::StrategyKind kind) {
+  pr::RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.num_workers = 16;
+  config.run.dataset = pr::SpecForDataset("cifar100");
+  config.run.dataset.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
+  config.sim.paper_model = "resnet34";
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.accuracy_threshold = 0.50;
+  config.sim.max_updates = 60000;
+  config.sim.eval_every = 50;
+  config.run.seed = 43;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -42,7 +44,7 @@ int main() {
        {std::pair{pr::StrategyKind::kAllReduce, "AR"},
         std::pair{pr::StrategyKind::kPReduceConst, "CON"},
         std::pair{pr::StrategyKind::kPReduceDynamic, "DYN"}}) {
-    pr::SimRunResult r = pr::RunExperiment(Config(kind));
+    pr::SimRunResult r = pr::StartRun(Config(kind), pr::EngineKind::kSim).sim;
     table.AddRow({label, pr::FormatDouble(r.sim_seconds, 1),
                   std::to_string(r.updates),
                   pr::FormatDouble(r.per_update_seconds, 4),

@@ -7,22 +7,24 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 pr::SimRunResult Run(bool with_churn, pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = "cifar10";
-  config.training.dirichlet_alpha = 0.5;
-  config.training.paper_model = "resnet18";
-  config.training.hetero = pr::HeteroSpec::GpuSharing(2);
-  config.training.accuracy_threshold = 0.85;
-  config.training.max_updates = 30000;
-  config.training.eval_every = 25;
-  config.training.seed = 19;
+  pr::RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.sim.paper_model = "resnet18";
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(2);
+  config.sim.accuracy_threshold = 0.85;
+  config.sim.max_updates = 30000;
+  config.sim.eval_every = 25;
+  config.run.seed = 19;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   if (with_churn) {
@@ -32,7 +34,7 @@ pr::SimRunResult Run(bool with_churn, pr::StrategyKind kind) {
         {40.0, 6, /*leave=*/false},  // worker 6 comes back, model ~stale
     };
   }
-  return pr::RunExperiment(config);
+  return pr::StartRun(config, pr::EngineKind::kSim).sim;
 }
 
 }  // namespace

@@ -4,22 +4,25 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 pr::SimRunResult RunTiming(pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 16;
-  config.training.paper_model = "resnet34";
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.timing_only = true;
-  config.training.timing_updates = 3000;
-  config.training.seed = 5;
+  pr::RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.num_workers = 16;
+  config.sim.paper_model = "resnet34";
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.timing_only = true;
+  config.sim.max_updates = 3000;
+  config.run.seed = 5;
   config.strategy.kind = kind;
   config.strategy.group_size = 4;
-  return pr::RunExperiment(config);
+  return pr::StartRun(config, pr::EngineKind::kSim).sim;
 }
 
 }  // namespace

@@ -318,9 +318,9 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
 
   const size_t owned = (my_index + 1) % p;
   // Unlike the raw ring, the payload length is *not* checked on receive:
-  // blob sizes are codec-dependent (top-k blobs scale with k, not the
-  // segment length). The decoders validate the element count instead,
-  // turning a mismatched blob into an error status rather than a crash.
+  // blob sizes are codec-dependent. The decoders validate the element
+  // count instead, turning a mismatched blob into an error status rather
+  // than a crash.
   SegmentLink link(ep, members, my_index, tag, compressor->encoding_tag(),
                    watch);
 

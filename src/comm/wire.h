@@ -18,7 +18,7 @@ namespace pr {
 ///     u32 magic          "PRW1"
 ///     u8  version        kWireVersion
 ///     u8  flags          payload-encoding tag (v2; a CompressionKind value:
-///                        0 = raw fp32, 1 = fp16, 2 = int8, 3 = top-k).
+///                        0 = raw fp32, 1 = fp16, 2 = int8).
 ///                        v1 frames carry 0 here and decode as raw fp32, so
 ///                        old streams stay readable.
 ///     u16 reserved       0

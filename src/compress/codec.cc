@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -403,125 +402,14 @@ class Int8Codec : public Codec {
   }
 };
 
-// ---------------------------------------------------------------------------
-// top-k codec: word 0 = n, word 1 = k, then k uint32 index words (strictly
-// ascending) and k float value words. Selection is deterministic: largest
-// |value| first, ties broken toward the lower index; NaN ranks above every
-// magnitude, so a NaN is always sent.
-// ---------------------------------------------------------------------------
-
-size_t TopKCount(size_t n) {
-  return n == 0 ? 0 : std::max<size_t>(1, n / kTopKDivisor);
-}
-
-/// |v| as an integer key: for non-NaN values its order is the order of the
-/// magnitudes, and NaNs sort above infinity, so the comparison below is a
-/// strict weak order whatever the input holds.
-uint32_t MagnitudeKey(float v) {
-  return std::bit_cast<uint32_t>(v) & 0x7fffffffu;
-}
-
-class TopKCodec : public Codec {
- public:
-  CompressionKind kind() const override { return CompressionKind::kTopK; }
-
-  /// No fused kernel: the selection dominates the cost. The feedback steps
-  /// stay exact with little work, because the decoded vector is zero off the
-  /// kept indices and `send - 0` is `send` bit for bit, so only kept
-  /// positions of the residual change.
-  Buffer EncodeWithFeedback(const float* x, float* residual, size_t n,
-                            float* publish) const override {
-    PR_CHECK(x != nullptr || n == 0);
-    const float* send = x;
-    if (residual != nullptr) {
-      for (size_t i = 0; i < n; ++i) residual[i] = x[i] + residual[i];
-      send = residual;
-    }
-    Buffer blob = Select(send, n);
-    const size_t k = TopKCount(n);
-    if (publish != nullptr) std::fill(publish, publish + n, 0.0f);
-    for (size_t j = 0; j < k; ++j) {
-      const uint32_t idx = GetWord(blob, 2 + j);
-      const float v = GetFloatWord(blob, 2 + k + j);
-      if (residual != nullptr) residual[idx] = residual[idx] - v;
-      if (publish != nullptr) publish[idx] = v;
-    }
-    return blob;
-  }
-
-  Status DecodeAccumulate(const Buffer& blob, const float* add, float* out,
-                          size_t n) const override {
-    const size_t k = TopKCount(n);
-    PR_RETURN_NOT_OK(CheckCountAndSize(blob, n, EncodedBytes(n), "topk"));
-    if (GetWord(blob, 1) != k) {
-      return Status::InvalidArgument("topk blob: size/count mismatch");
-    }
-    for (size_t j = 0; j < k; ++j) {
-      const uint32_t idx = GetWord(blob, 2 + j);
-      if (idx >= n || (j > 0 && idx <= GetWord(blob, 1 + j))) {
-        return Status::InvalidArgument(
-            "topk blob: index out of range or order");
-      }
-    }
-    PR_CHECK(out != nullptr || n == 0);
-    // Decoded values are 0 off the kept indices; walk the gaps between them.
-    size_t next = 0;
-    for (size_t j = 0; j <= k; ++j) {
-      const size_t end = j < k ? GetWord(blob, 2 + j) : n;
-      for (size_t i = next; i < end; ++i) {
-        out[i] = add != nullptr ? 0.0f + add[i] : 0.0f;
-      }
-      if (j == k) break;
-      const float v = GetFloatWord(blob, 2 + k + j);
-      out[end] = add != nullptr ? v + add[end] : v;
-      next = end + 1;
-    }
-    return Status::OK();
-  }
-
-  size_t EncodedBytes(size_t n) const override {
-    return 4 * (2 + 2 * TopKCount(n));
-  }
-
- private:
-  static Buffer Select(const float* x, size_t n) {
-    const size_t k = TopKCount(n);
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    auto by_magnitude = [x](uint32_t a, uint32_t b) {
-      const uint32_t ma = MagnitudeKey(x[a]);
-      const uint32_t mb = MagnitudeKey(x[b]);
-      if (ma != mb) return ma > mb;
-      return a < b;
-    };
-    if (k < n) {
-      std::nth_element(order.begin(), order.begin() + static_cast<long>(k),
-                       order.end(), by_magnitude);
-    }
-    order.resize(k);
-    std::sort(order.begin(), order.end());  // ascending index for locality
-
-    std::vector<float> blob = NewBlob(2 + 2 * k, n);
-    SetWord(blob.data(), 1, static_cast<uint32_t>(k));
-    for (size_t j = 0; j < k; ++j) {
-      SetWord(blob.data(), 2 + j, order[j]);
-      blob[2 + k + j] = x[order[j]];
-    }
-    return Buffer::FromVector(std::move(blob));
-  }
-};
-
 const Codec* CodecFor(CompressionKind kind) {
   static const Fp16Codec fp16;
   static const Int8Codec int8;
-  static const TopKCodec topk;
   switch (kind) {
     case CompressionKind::kFp16:
       return &fp16;
     case CompressionKind::kInt8:
       return &int8;
-    case CompressionKind::kTopK:
-      return &topk;
     case CompressionKind::kNone:
       break;
   }
@@ -538,8 +426,6 @@ std::string CompressionKindName(CompressionKind kind) {
       return "fp16";
     case CompressionKind::kInt8:
       return "int8";
-    case CompressionKind::kTopK:
-      return "topk";
   }
   return "none";
 }
@@ -551,8 +437,6 @@ bool ParseCompressionKind(const std::string& token, CompressionKind* out) {
     *out = CompressionKind::kFp16;
   } else if (token == "int8") {
     *out = CompressionKind::kInt8;
-  } else if (token == "topk") {
-    *out = CompressionKind::kTopK;
   } else {
     return false;
   }
@@ -565,8 +449,6 @@ std::unique_ptr<Codec> MakeCodec(CompressionKind kind) {
       return std::make_unique<Fp16Codec>();
     case CompressionKind::kInt8:
       return std::make_unique<Int8Codec>();
-    case CompressionKind::kTopK:
-      return std::make_unique<TopKCodec>();
     case CompressionKind::kNone:
       break;
   }

@@ -16,23 +16,24 @@ namespace pr {
 ///
 /// The enum values double as the wire payload-encoding tag (the flags byte
 /// of the PRW1 v2 preamble), so they are stable protocol constants: 0 must
-/// stay "raw fp32" forever, and new codecs append.
+/// stay "raw fp32" forever, and new codecs append. Tag 3 carried top-k
+/// sparsified blobs, a codec that never won on any transport; it is rejected
+/// as corrupt and must not be reused, so a peer still sending it fails loudly.
 enum class CompressionKind : uint8_t {
   kNone = 0,  ///< raw fp32 floats (the uncompressed payload path)
   kFp16 = 1,  ///< IEEE-754 half precision, software converted
   kInt8 = 2,  ///< linear 8-bit quantization, per-chunk min/scale
-  kTopK = 3,  ///< deterministic top-k magnitude sparsification
 };
 
 /// Number of distinct encoding tags (for validation of wire bytes).
-inline constexpr uint8_t kNumCompressionKinds = 4;
+inline constexpr uint8_t kNumCompressionKinds = 3;
 
 /// True when `tag` names a known encoding (a corrupt frame check).
 inline bool IsValidEncodingTag(uint8_t tag) {
   return tag < kNumCompressionKinds;
 }
 
-/// Config/report token: "none" | "fp16" | "int8" | "topk".
+/// Config/report token: "none" | "fp16" | "int8".
 std::string CompressionKindName(CompressionKind kind);
 
 /// Parses a config token; false on an unknown name.
@@ -41,9 +42,6 @@ bool ParseCompressionKind(const std::string& token, CompressionKind* out);
 /// Elements per int8 quantization chunk: each chunk carries its own
 /// min/scale pair, so a single outlier only degrades 1 KiB of neighbours.
 inline constexpr size_t kInt8ChunkElems = 1024;
-
-/// Top-k keeps 1 in kTopKDivisor elements (at least one when n > 0).
-inline constexpr size_t kTopKDivisor = 8;
 
 /// \brief One compression scheme: float range -> self-describing blob and
 /// back.
@@ -55,8 +53,8 @@ inline constexpr size_t kTopKDivisor = 8;
 /// decoder needs only the blob and the encoding tag.
 ///
 /// Codecs are stateless and deterministic: the same input always yields the
-/// same blob on every platform (ties in top-k selection break toward the
-/// lower index; int8 rounding is round-half-up via truncation).
+/// same blob on every platform (int8 rounding is round-half-up via
+/// truncation).
 ///
 /// The two kernels, EncodeWithFeedback and DecodeAccumulate, are what the
 /// data plane calls; Encode and Decode are thin wrappers over them. The

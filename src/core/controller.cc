@@ -31,7 +31,9 @@ Controller::Controller(const ControllerOptions& options)
   PR_CHECK_LE(options.group_size, options.num_workers);
   hierarchical_ = options.hierarchy.enabled && !options.topology.flat() &&
                   options.topology.num_nodes() > 1;
-  if (hierarchical_) PR_CHECK_GE(options.hierarchy.cross_period, 1);
+  if (hierarchical_) {
+    PR_CHECK_GE(options.hierarchy.cross_period, 1);
+  }
 }
 
 void Controller::Restore(const ControllerRestoreState& state) {

@@ -32,6 +32,7 @@
 #include "scenario/scenario.h"
 #include "strategies/strategy.h"
 #include "topo/topology.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -43,7 +44,7 @@ int Usage(const char* argv0) {
       "  -n, --workers N       worker process count (default 4)\n"
       "      --iters N         local iterations per worker (default 40)\n"
       "      --strategy KIND   CON | DYN | AR (default CON)\n"
-      "      --compression C   none | fp16 | int8 | topk (default none)\n"
+      "      --compression C   none | fp16 | int8 (default none)\n"
       "      --group-size P    P-Reduce group size (default 3)\n"
       "      --seed S          run seed (default 7)\n"
       "      --batch B         batch size (default 32)\n"
@@ -315,7 +316,7 @@ int LauncherMain(int argc, char** argv) {
     // (uninterrupted).
     RunConfig inproc = config;
     if (options.kill.armed()) inproc.run.fault.force_fault_tolerant = true;
-    ThreadedRunResult baseline = RunThreaded(inproc);
+    const RunOutcome baseline = StartRun(inproc, EngineKind::kThreaded);
     const double delta = std::fabs(baseline.final_loss - result.final_loss);
     std::printf("PRLAUNCH_PARITY inproc_loss=%.6f socket_loss=%.6f "
                 "delta=%.6f tol=%g\n",

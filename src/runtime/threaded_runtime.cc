@@ -1,13 +1,6 @@
 #include "runtime/threaded_runtime.h"
 
-#include <algorithm>
-#include <cmath>
-#include <filesystem>
-
-#include "ckpt/manifest.h"
 #include "common/check.h"
-#include "runtime/threaded_strategy.h"
-#include "runtime/worker_runtime.h"
 
 namespace pr {
 namespace {
@@ -24,12 +17,13 @@ bool IsPReduce(StrategyKind kind) {
 
 }  // namespace
 
-void ValidateRunConfig(const RunConfig& config) {
+void ValidateRunConfig(const RunConfig& config, EngineKind engine) {
   const StrategyOptions& strategy = config.strategy;
   const ThreadedRunOptions& options = config.run;
   // Centralized PS training degenerates gracefully to one worker; every
-  // collective/gossip scheme needs a counterpart.
-  PR_CHECK_GE(options.num_workers, IsPsFamily(strategy.kind) ? 1 : 2);
+  // collective/gossip scheme needs a counterpart on real threads.
+  PR_CHECK_GE(options.num_workers,
+              IsPsFamily(strategy.kind) || engine == EngineKind::kSim ? 1 : 2);
   if (IsPReduce(strategy.kind)) {
     PR_CHECK_GE(strategy.group_size, 2);
     PR_CHECK_LE(strategy.group_size, options.num_workers);
@@ -61,35 +55,6 @@ std::vector<double> ThreadedRunResult::worker_idle_fraction() const {
         metrics.gauge("worker." + std::to_string(w) + ".idle_fraction"));
   }
   return out;
-}
-
-ThreadedRunResult RunThreaded(const RunConfig& config) {
-  ValidateRunConfig(config);
-  std::unique_ptr<ThreadedStrategy> impl = MakeThreadedStrategy(config.strategy);
-  WorkerRuntime runtime(config.strategy, config.run);
-  return runtime.Run(impl.get());
-}
-
-ThreadedRunResult RestoreThreadedRun(const RunConfig& config,
-                                     const std::string& manifest_path) {
-  ValidateRunConfig(config);
-  RunManifest manifest;
-  Status s = LoadManifest(manifest_path, &manifest);
-  PR_CHECK(s.ok()) << "loading manifest " << manifest_path << ": "
-                   << s.message();
-  PR_CHECK(manifest.engine == "threaded")
-      << "manifest was written by the '" << manifest.engine << "' engine";
-  PR_CHECK(manifest.strategy == StrategyKindName(config.strategy.kind))
-      << "manifest strategy " << manifest.strategy
-      << " does not match the requested "
-      << StrategyKindName(config.strategy.kind);
-  PR_CHECK_EQ(manifest.seed, config.run.seed)
-      << "resuming with a different seed would draw different batches";
-  const std::string dir =
-      std::filesystem::path(manifest_path).parent_path().string();
-  std::unique_ptr<ThreadedStrategy> impl = MakeThreadedStrategy(config.strategy);
-  WorkerRuntime runtime(config.strategy, config.run, &manifest, dir);
-  return runtime.Run(impl.get());
 }
 
 }  // namespace pr

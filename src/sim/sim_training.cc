@@ -11,17 +11,57 @@
 
 namespace pr {
 
-SimTraining::SimTraining(const SimTrainingOptions& options)
-    : options_(options),
+namespace {
+
+/// Global updates that consume the threaded gradient budget (num_workers x
+/// iterations_per_worker) under the strategy's per-update gradient count.
+size_t DerivedUpdateBudget(const RunConfig& config) {
+  const double total_gradients =
+      static_cast<double>(config.run.num_workers) *
+      static_cast<double>(config.run.iterations_per_worker);
+  double per_update = 1.0;
+  switch (config.strategy.kind) {
+    case StrategyKind::kAllReduce:
+    case StrategyKind::kPsBsp:
+    case StrategyKind::kPsBackup:
+      per_update = static_cast<double>(config.run.num_workers);
+      break;
+    case StrategyKind::kPReduceConst:
+    case StrategyKind::kPReduceDynamic:
+      per_update = static_cast<double>(std::max(1, config.strategy.group_size));
+      break;
+    case StrategyKind::kEagerReduce:
+      per_update = static_cast<double>(std::max(1, config.strategy.er_quorum));
+      break;
+    case StrategyKind::kAdPsgd:
+      per_update = 2.0;
+      break;
+    case StrategyKind::kPsAsp:
+    case StrategyKind::kPsHete:
+      per_update = 1.0;
+      break;
+  }
+  const double updates = total_gradients / per_update;
+  return static_cast<size_t>(std::max(1.0, updates + 0.5));
+}
+
+}  // namespace
+
+SimTraining::SimTraining(const RunConfig& config)
+    : config_(config),
       metrics_shard_(registry_.NewShard()),
-      trace_(options.trace_capacity),
-      rng_(options.seed) {
-  PR_CHECK_GE(options.num_workers, 1);
-  PR_CHECK_GE(options.batch_size, 1u);
-  PR_CHECK(options.topology.flat() ||
-           options.topology.num_workers() == options.num_workers)
-      << "topology places " << options_.topology.num_workers()
-      << " workers but the run has " << options.num_workers;
+      trace_(config.run.trace_capacity),
+      rng_(config.run.seed) {
+  const ThreadedRunOptions& run = config_.run;
+  PR_CHECK_GE(run.num_workers, 1);
+  PR_CHECK_GE(run.batch_size, 1u);
+  PR_CHECK(run.topology.flat() ||
+           run.topology.num_workers() == run.num_workers)
+      << "topology places " << run.topology.num_workers()
+      << " workers but the run has " << run.num_workers;
+  if (config_.sim.max_updates == 0) {
+    config_.sim.max_updates = DerivedUpdateBudget(config_);
+  }
   // Eagerly registered so flat sim runs expose the same transport.* names
   // as topology-aware ones and as the threaded Endpoint.
   metrics_shard_->GetCounter("transport.inter_node_bytes");
@@ -30,27 +70,24 @@ SimTraining::SimTraining(const SimTrainingOptions& options)
   // the result into the fault plan before anything reads it. Depart/arrive
   // windows go to scenario_churn_ for the strategy to schedule in virtual
   // time (the threaded engine walks the same compiled stream).
-  if (options_.scenario.enabled()) {
+  if (run.scenario.enabled()) {
     CompiledScenario compiled;
-    const Status s =
-        CompileScenario(options_.scenario, options_.num_workers,
-                        options_.topology, options_.fault, &compiled);
-    PR_CHECK(s.ok()) << "scenario '" << options_.scenario.name
+    const Status s = CompileScenario(run.scenario, run.num_workers,
+                                     run.topology, run.fault, &compiled);
+    PR_CHECK(s.ok()) << "scenario '" << run.scenario.name
                      << "': " << s.message();
-    options_.fault = std::move(compiled.fault);
+    config_.run.fault = std::move(compiled.fault);
     scenario_churn_ = std::move(compiled.churn);
   }
 
-  SyntheticSpec spec = options.custom_dataset.has_value()
-                           ? *options.custom_dataset
-                           : SpecForDataset(options.dataset);
-  spec.seed = options.seed;  // the run seed controls the data too
+  SyntheticSpec spec = run.dataset;
+  spec.seed = run.seed;  // the run seed controls the data too
   split_ = GenerateSynthetic(spec);
 
-  model_ = MakeProxyModel(options.model, spec.dim, spec.num_classes);
-  cost_ = std::make_unique<CostModel>(LookupPaperModel(options.paper_model),
-                                      options.cost);
-  hetero_ = MakeHeterogeneityModel(options.hetero, options.num_workers,
+  model_ = MakeProxyModel(run.model, spec.dim, spec.num_classes);
+  cost_ = std::make_unique<CostModel>(
+      LookupPaperModel(config_.sim.paper_model), config_.sim.cost);
+  hetero_ = MakeHeterogeneityModel(config_.sim.hetero, run.num_workers,
                                    rng_.Next());
 
   // Single shared initialization copied to all replicas (Alg. 2 requires
@@ -59,40 +96,31 @@ SimTraining::SimTraining(const SimTrainingOptions& options)
   model_->InitParams(&init, &rng_);
 
   Rng shard_rng = rng_.Fork();
-  // The skew knob lives in two places: SimTrainingOptions for sim-native
-  // callers and SyntheticSpec for configs that describe the dataset as one
-  // block (the threaded engine's convention). Options win when both set.
-  const double dirichlet_alpha = options.dirichlet_alpha > 0.0
-                                     ? options.dirichlet_alpha
-                                     : spec.dirichlet_alpha;
+  const size_t n = static_cast<size_t>(run.num_workers);
   std::vector<Shard> shards =
-      dirichlet_alpha > 0.0
+      spec.dirichlet_alpha > 0.0
           ? ShardDatasetDirichlet(split_.train.labels,
-                                  split_.train.num_classes,
-                                  static_cast<size_t>(options.num_workers),
-                                  dirichlet_alpha, &shard_rng)
-          : ShardDataset(split_.train.size(),
-                         static_cast<size_t>(options.num_workers),
-                         &shard_rng);
+                                  split_.train.num_classes, n,
+                                  spec.dirichlet_alpha, &shard_rng)
+          : ShardDataset(split_.train.size(), n, &shard_rng);
 
-  workers_.resize(static_cast<size_t>(options.num_workers));
-  for (int w = 0; w < options.num_workers; ++w) {
-    WorkerState& ws = workers_[static_cast<size_t>(w)];
+  workers_.resize(n);
+  for (size_t w = 0; w < n; ++w) {
+    WorkerState& ws = workers_[w];
     ws.params = init;
     ws.snapshot = init;
-    ws.optimizer = std::make_unique<Sgd>(model_->NumParams(), options.sgd);
+    ws.optimizer = std::make_unique<Sgd>(model_->NumParams(), run.sgd);
     ws.sampler = std::make_unique<BatchSampler>(
-        &split_.train, std::move(shards[static_cast<size_t>(w)]),
-        options.batch_size, rng_.Next());
+        &split_.train, std::move(shards[w]), run.batch_size, rng_.Next());
   }
 
-  if (options.record_timeline) {
-    timeline_ = std::make_unique<Timeline>(options.num_workers);
+  if (run.record_timeline) {
+    timeline_ = std::make_unique<Timeline>(run.num_workers);
   }
   eval_scratch_.resize(model_->NumParams());
 
-  if (options.ckpt.enabled()) {
-    PR_CHECK(!options.timing_only)
+  if (run.ckpt.enabled()) {
+    PR_CHECK(!config_.sim.timing_only)
         << "checkpointing needs real training state to snapshot";
     // Eager-register the ckpt.* family so both engines' snapshots carry
     // identical metric names whether or not a cut ever happens.
@@ -114,7 +142,7 @@ double SimTraining::SampleComputeSeconds(int worker) {
   // Scheduled slowdown faults compound with the ambient heterogeneity: the
   // factor applies while the worker's iteration sits in the event's window
   // (the threaded engine scales the injected compute delay the same way).
-  for (const WorkerFaultEvent& e : options_.fault.worker_events) {
+  for (const WorkerFaultEvent& e : config_.run.fault.worker_events) {
     if (e.worker != worker || e.kind != WorkerFaultEvent::Kind::kSlowdown) {
       continue;
     }
@@ -130,13 +158,13 @@ double SimTraining::SampleComputeSeconds(int worker) {
 
 std::vector<float>& SimTraining::params(int worker) {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, config_.run.num_workers);
   return workers_[static_cast<size_t>(worker)].params;
 }
 
 const std::vector<float>& SimTraining::params(int worker) const {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, config_.run.num_workers);
   return workers_[static_cast<size_t>(worker)].params;
 }
 
@@ -159,7 +187,7 @@ float SimTraining::GradientAt(int worker, const float* at,
   PR_CHECK(grad != nullptr);
   grad->assign(model_->NumParams(), 0.0f);
   ++gradients_computed_;
-  if (options_.timing_only) return 0.0f;
+  if (config_.sim.timing_only) return 0.0f;
   WorkerState& ws = workers_[static_cast<size_t>(worker)];
   Tensor x;
   std::vector<int> y;
@@ -170,7 +198,7 @@ float SimTraining::GradientAt(int worker, const float* at,
 
 Sgd* SimTraining::optimizer(int worker) {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, config_.run.num_workers);
   return workers_[static_cast<size_t>(worker)].optimizer.get();
 }
 
@@ -188,16 +216,16 @@ void SimTraining::StepWith(Sgd* opt, const float* grad,
 }
 
 std::unique_ptr<Sgd> SimTraining::MakeOptimizer() const {
-  return std::make_unique<Sgd>(model_->NumParams(), options_.sgd);
+  return std::make_unique<Sgd>(model_->NumParams(), config_.run.sgd);
 }
 
 double SimTraining::CurrentLr() const {
-  if (!options_.lr_decay.enabled) return options_.sgd.learning_rate;
+  if (!config_.sim.lr_decay.enabled) return config_.run.sgd.learning_rate;
   const size_t progress =
-      options_.lr_decay.per_gradient ? gradients_computed_ : updates_;
-  const size_t stage = progress / options_.lr_decay.every_updates;
-  double lr = options_.sgd.learning_rate;
-  for (size_t s = 0; s < stage; ++s) lr *= options_.lr_decay.factor;
+      config_.sim.lr_decay.per_gradient ? gradients_computed_ : updates_;
+  const size_t stage = progress / config_.sim.lr_decay.every_updates;
+  double lr = config_.run.sgd.learning_rate;
+  for (size_t s = 0; s < stage; ++s) lr *= config_.sim.lr_decay.factor;
   return lr;
 }
 
@@ -218,13 +246,15 @@ void SimTraining::RecordUpdate() {
   update_intervals_.Add(engine_.now() - last_update_time_);
   last_update_time_ = engine_.now();
 
-  if (options_.timing_only) {
-    if (updates_ >= options_.timing_updates) stopped_ = true;
+  if (config_.sim.timing_only) {
+    if (updates_ >= config_.sim.max_updates) stopped_ = true;
     return;
   }
-  if (updates_ % options_.eval_every == 0) MaybeEvaluate();
-  if (updates_ >= options_.max_updates ||
-      engine_.now() >= options_.max_sim_seconds) {
+  if (config_.sim.eval_every > 0 && updates_ % config_.sim.eval_every == 0) {
+    MaybeEvaluate();
+  }
+  if (updates_ >= config_.sim.max_updates ||
+      engine_.now() >= config_.sim.max_sim_seconds) {
     stopped_ = true;
   }
   if (!stopped_) MaybeCheckpoint();
@@ -237,7 +267,7 @@ void SimTraining::ConfigureCheckpoint(const std::string& strategy,
 }
 
 void SimTraining::MaybeCheckpoint() {
-  const CheckpointConfig& ckpt = options_.ckpt;
+  const CheckpointConfig& ckpt = config_.run.ckpt;
   if (ckpt_fill_ == nullptr || !ckpt.enabled() || ckpt.every_updates == 0) {
     return;
   }
@@ -252,14 +282,14 @@ void SimTraining::MaybeCheckpoint() {
   RunManifest m;
   m.engine = "sim";
   m.strategy = ckpt_strategy_;
-  m.num_workers = options_.num_workers;
+  m.num_workers = config_.run.num_workers;
   m.num_params = num_params();
-  m.seed = options_.seed;
+  m.seed = config_.run.seed;
   m.epoch = epoch;
   m.updates_done = updates_;
   m.saved_at_seconds = engine_.now();
   ckpt_fill_(&m);
-  for (int w = 0; w < options_.num_workers; ++w) {
+  for (int w = 0; w < config_.run.num_workers; ++w) {
     WorkerState& ws = workers_[static_cast<size_t>(w)];
     const std::vector<float>& vel = *ws.optimizer->mutable_velocity();
     if (!SaveWorkerShard(ShardPath(ckpt.dir, epoch, w),
@@ -288,21 +318,17 @@ void SimTraining::MaybeCheckpoint() {
 
 void SimTraining::RestoreFromManifest(const RunManifest& manifest,
                                       const std::string& dir) {
-  PR_CHECK(!options_.timing_only);
-  PR_CHECK(manifest.engine == "sim")
-      << "manifest was written by the '" << manifest.engine << "' engine";
-  PR_CHECK_EQ(manifest.num_workers, options_.num_workers);
+  PR_CHECK(!config_.sim.timing_only);
+  PR_CHECK_EQ(manifest.num_workers, config_.run.num_workers);
   PR_CHECK_EQ(manifest.num_params, num_params());
-  PR_CHECK_EQ(manifest.seed, options_.seed)
-      << "resuming with a different seed would draw different batches";
   PR_CHECK_EQ(manifest.workers.size(),
-              static_cast<size_t>(options_.num_workers));
+              static_cast<size_t>(config_.run.num_workers));
 
   Tensor scratch_x;
   std::vector<int> scratch_y;
   for (const ManifestWorker& mw : manifest.workers) {
     PR_CHECK_GE(mw.worker, 0);
-    PR_CHECK_LT(mw.worker, options_.num_workers);
+    PR_CHECK_LT(mw.worker, config_.run.num_workers);
     WorkerState& ws = workers_[static_cast<size_t>(mw.worker)];
     std::vector<float> params;
     std::vector<float> velocity;
@@ -351,7 +377,7 @@ const float* SimTraining::EvalParams() {
   // Default: mean over all replicas (Alg. 2 line 8).
   const size_t n = model_->NumParams();
   std::memset(eval_scratch_.data(), 0, n * sizeof(float));
-  const float w = 1.0f / static_cast<float>(options_.num_workers);
+  const float w = 1.0f / static_cast<float>(config_.run.num_workers);
   for (const WorkerState& ws : workers_) {
     Axpy(w, ws.params.data(), eval_scratch_.data(), n);
   }
@@ -369,20 +395,20 @@ void SimTraining::MaybeEvaluate() {
   final_accuracy_ = acc;
   final_loss_ = loss;
   CurvePoint point{engine_.now(), updates_, acc, loss, 0.0};
-  if (options_.record_grad_norm) {
+  if (config_.sim.record_grad_norm) {
     point.grad_norm_sq = EvaluateGradientNormSq(*model_, p, split_.train,
                                                 /*max_examples=*/2048);
   }
   curve_.push_back(point);
-  if (options_.accuracy_threshold > 0.0 &&
-      acc >= options_.accuracy_threshold) {
+  if (config_.sim.accuracy_threshold > 0.0 &&
+      acc >= config_.sim.accuracy_threshold) {
     converged_ = true;
     stopped_ = true;
   }
 }
 
 void SimTraining::EvaluateNow() {
-  if (!options_.timing_only) MaybeEvaluate();
+  if (!config_.sim.timing_only) MaybeEvaluate();
 }
 
 void SimTraining::CountWastedGradient() {
@@ -397,12 +423,12 @@ void SimTraining::RecordReduceTraffic(size_t p, CompressionKind kind) {
 void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
                                       CompressionKind kind) {
   const double bytes = AccountReduceTraffic(members.size(), kind);
-  if (bytes <= 0.0 || options_.topology.flat()) return;
+  if (bytes <= 0.0 || config_.run.topology.flat()) return;
   // Each ring edge carries an equal 1/p share of the group total; credit
   // the node-crossing edges' share to the inter-node counter.
   size_t cross_edges = 0;
   for (size_t i = 0; i < members.size(); ++i) {
-    if (!options_.topology.SameNode(members[i],
+    if (!config_.run.topology.SameNode(members[i],
                                     members[(i + 1) % members.size()])) {
       ++cross_edges;
     }

@@ -7,19 +7,14 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/ckpt_config.h"
 #include "ckpt/manifest.h"
 #include "common/stats.h"
-#include "compress/codec.h"
-#include "data/synthetic.h"
-#include "fault/fault_plan.h"
+#include "config/run_config.h"
 #include "hetero/hetero.h"
-#include "models/catalog.h"
 #include "models/model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optim/sgd.h"
-#include "scenario/scenario.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
@@ -34,106 +29,6 @@ struct CurvePoint {
   double loss = 0.0;
   /// ||∇F(u_k)||² at this evaluation (only when record_grad_norm is set).
   double grad_norm_sq = 0.0;
-};
-
-/// \brief Step-decay schedule knob for SimTrainingOptions.
-struct LrDecaySpec {
-  bool enabled = false;
-  double factor = 0.1;
-  size_t every_updates = 2000;
-  /// When true, `every_updates` counts *gradients computed* instead of
-  /// global updates. Strategies incorporate different gradient counts per
-  /// update (AR: N, P-Reduce: P, ASP: 1), so a gradient-based schedule is
-  /// the fair analogue of the paper's per-epoch decay.
-  bool per_gradient = false;
-};
-
-/// \brief Full configuration of one simulated training run.
-struct SimTrainingOptions {
-  int num_workers = 8;
-  /// Per-worker mini-batch. The calibrated benches use 8 (small batches
-  /// keep gradient noise high enough that staleness effects are visible on
-  /// the synthetic tasks).
-  size_t batch_size = 8;
-  SgdOptions sgd;
-  LrDecaySpec lr_decay;
-
-  /// Proxy model trained for real under virtual time, constructed through
-  /// the models catalog — the same specs the threaded runtime consumes, so
-  /// both engines name models identically.
-  ProxyModelSpec model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
-
-  /// Synthetic dataset name ("cifar10", "cifar100", "imagenet"), or a fully
-  /// custom spec when `custom_dataset` is set.
-  std::string dataset = "cifar10";
-  std::optional<SyntheticSpec> custom_dataset;
-
-  /// Non-IID sharding: Dirichlet(alpha) class skew per worker. 0 disables
-  /// (IID shuffled shards, the paper's assumption).
-  double dirichlet_alpha = 0.0;
-
-  /// Paper workload whose catalog entry drives the cost model.
-  std::string paper_model = "resnet34";
-  CostModelOptions cost;
-  HeteroSpec hetero;
-
-  /// Cluster placement. Flat (the default) reproduces the historical
-  /// uniform fabric; a non-flat topology stretches cross-node ring edges in
-  /// the cost model and splits traffic accounting into intra/inter-node.
-  Topology topology;
-
-  /// Fault schedule mirrored into virtual time (P-Reduce only): crashes
-  /// trigger lease-horizon eviction, ready-signal drops trigger re-sends,
-  /// slowdown events scale SampleComputeSeconds, controller crash/restart
-  /// events park in-flight signals and rebuild a fresh controller from
-  /// worker re-registration. Hang events and data-plane dup/delay are
-  /// threaded-engine-only; their fault.* counters still register (as zero)
-  /// for cross-engine report parity.
-  FaultPlan fault;
-
-  /// Trace-driven chaos scenario (P-Reduce only). Compiled at run start and
-  /// merged into `fault` plus the strategy's churn schedule: crash/hang/
-  /// slowdown events become iteration-keyed fault events, depart/arrive
-  /// windows become virtual-time leave/rejoin pairs, partitions become
-  /// membership-loss windows applied at their virtual start times. The
-  /// compiled scenario.* counters register with names identical to the
-  /// threaded engine's.
-  ScenarioSpec scenario;
-
-  /// Coordinated checkpointing (strategies that call ConfigureCheckpoint —
-  /// P-Reduce kinds and AR): every `ckpt.every_updates` global updates the
-  /// run snapshots every replica + optimizer into shards and writes a
-  /// manifest; RestoreSimRun resumes from it. Disabled by default, and
-  /// unavailable in timing-only mode.
-  CheckpointConfig ckpt;
-
-  /// Convergence criterion: stop when the evaluated model reaches this test
-  /// accuracy. <= 0 disables accuracy-based stopping.
-  double accuracy_threshold = 0.90;
-  size_t max_updates = 100000;
-  double max_sim_seconds = 1e9;
-  size_t eval_every = 25;
-
-  /// Timing-only mode: skip gradient math and evaluation; run exactly
-  /// `timing_updates` updates. Used by pure hardware-efficiency experiments
-  /// (idle-time, scalability sweeps).
-  bool timing_only = false;
-  size_t timing_updates = 1000;
-
-  /// Record ||∇F||² of the evaluated model at every periodic evaluation
-  /// (over a bounded probe of the training set) — the Theorem 1 quantity.
-  bool record_grad_norm = false;
-
-  /// Record a per-worker activity timeline (compute/comm/idle intervals,
-  /// the data behind Fig. 3's Gantt). Supported by the AR and P-Reduce
-  /// strategies; costs memory proportional to the number of intervals.
-  bool record_timeline = false;
-
-  /// Capacity of the structured trace ring buffer (see obs/trace.h);
-  /// 0 disables tracing. Metrics are always collected.
-  size_t trace_capacity = 0;
-
-  uint64_t seed = 1;
 };
 
 /// \brief Result of one simulated run.
@@ -175,11 +70,17 @@ struct SimRunResult {
 /// the one induced by simulated timing.
 class SimTraining {
  public:
-  explicit SimTraining(const SimTrainingOptions& options);
+  /// Builds the run `config` describes: the shared fields come from
+  /// `config.run`, the simulator's own from `config.sim`. A zero
+  /// `sim.max_updates` is resolved from the gradient budget here, so
+  /// `config()` always holds the update budget the run stops at.
+  explicit SimTraining(const RunConfig& config);
 
   SimEngine* engine() { return &engine_; }
-  const SimTrainingOptions& options() const { return options_; }
-  int num_workers() const { return options_.num_workers; }
+  /// The run's configuration, with the scenario already merged into
+  /// `run.fault`.
+  const RunConfig& config() const { return config_; }
+  int num_workers() const { return config_.run.num_workers; }
   const CostModel& cost() const { return *cost_; }
   const Model& model() const { return *model_; }
   size_t num_params() const { return model_->NumParams(); }
@@ -268,7 +169,7 @@ class SimTraining {
 
   /// The run's compiled scenario churn windows (empty without a scenario).
   /// The P-Reduce strategy schedules each as a virtual-time leave/rejoin
-  /// pair; partition windows live in options().fault.partition_events.
+  /// pair; partition windows live in config().run.fault.partition_events.
   const std::vector<ChurnWindow>& scenario_churn() const {
     return scenario_churn_;
   }
@@ -354,7 +255,7 @@ class SimTraining {
   /// bytes accounted (0 when p < 2).
   double AccountReduceTraffic(size_t p, CompressionKind kind);
 
-  SimTrainingOptions options_;
+  RunConfig config_;
   SimEngine engine_;
   MetricsRegistry registry_;
   MetricsShard* metrics_shard_;  // owned by registry_

@@ -22,7 +22,7 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   copts.frozen_avoidance = options.frozen_avoidance;
   copts.history_window = options.history_window;
   copts.record_sync_matrices = options.record_sync_matrices;
-  copts.topology = ctx->options().topology;
+  copts.topology = ctx->config().run.topology;
   copts.hierarchy = options.hierarchy;
   copts.group_cost_budget = options.group_cost_budget;
   if (!copts.topology.flat()) {
@@ -50,7 +50,7 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
 
   crashed_.assign(static_cast<size_t>(ctx->num_workers()), false);
   signal_seq_.assign(static_cast<size_t>(ctx->num_workers()), 0);
-  if (ctx->options().fault.enabled()) {
+  if (ctx->config().run.fault.enabled()) {
     // Register the whole fault.* family eagerly — including the injector
     // counters only the threaded engine can drive — so both engines' run
     // reports carry identical metric names.
@@ -64,7 +64,7 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
     failovers_counter_ = ctx->metrics()->GetCounter("controller.failovers");
     reregs_counter_ = ctx->metrics()->GetCounter("controller.reregistrations");
     severed_drops_counter_ = ctx->metrics()->GetCounter("fault.severed_drops");
-    outages_ = ctx->options().fault.controller_events;
+    outages_ = ctx->config().run.fault.controller_events;
     std::sort(outages_.begin(), outages_.end(),
               [](const ControllerFaultEvent& a, const ControllerFaultEvent& b) {
                 return a.after_groups < b.after_groups;
@@ -83,11 +83,11 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   }
   liveness_floor_ = scale_cfg.liveness_floor;
   scale_paused_.assign(static_cast<size_t>(ctx->num_workers()), false);
-  scenario_mode_ = ctx->options().scenario.enabled() || scale_cfg.enabled() ||
-                   scale_cfg.degradation_enabled();
+  scenario_mode_ = ctx->config().run.scenario.enabled() ||
+                   scale_cfg.enabled() || scale_cfg.degradation_enabled();
   if (scenario_mode_) {
     for (const auto& [name, count] :
-         ScenarioMetricCounts(ctx->options().scenario)) {
+         ScenarioMetricCounts(ctx->config().run.scenario)) {
       ctx->metrics()->GetCounter(name)->Increment(count);
     }
     scenario_partitions_applied_ =
@@ -133,7 +133,7 @@ std::string PReduceStrategy::Name() const {
 
 bool PReduceStrategy::CrashArmed(int worker, bool in_group) const {
   if (crashed_[static_cast<size_t>(worker)]) return false;
-  for (const WorkerFaultEvent& e : ctx_->options().fault.worker_events) {
+  for (const WorkerFaultEvent& e : ctx_->config().run.fault.worker_events) {
     if (e.worker == worker && e.kind == WorkerFaultEvent::Kind::kCrash &&
         e.in_group == in_group &&
         ctx_->iteration(worker) >= e.after_iterations) {
@@ -284,7 +284,7 @@ void PReduceStrategy::Start() {
   // A partitioned worker is, in virtual time, a membership loss for the
   // window's duration: its traffic cannot reach the controller or any
   // group, which is exactly what leaving models.
-  for (const PartitionEvent& p : ctx_->options().fault.partition_events) {
+  for (const PartitionEvent& p : ctx_->config().run.fault.partition_events) {
     ctx_->engine()->ScheduleAt(p.start_seconds, [this, p] {
       if (scenario_partitions_applied_ != nullptr) {
         scenario_partitions_applied_->Increment();
@@ -365,7 +365,7 @@ void PReduceStrategy::OnGradientReady(int worker) {
     // Boundary crash: the worker vanishes without signaling. The controller
     // notices when the lease horizon elapses and evicts it.
     crashed_[static_cast<size_t>(worker)] = true;
-    const FaultPlan& plan = ctx_->options().fault;
+    const FaultPlan& plan = ctx_->config().run.fault;
     ctx_->engine()->ScheduleAfter(
         plan.lease_seconds * plan.missed_threshold,
         [this, worker] { EvictNow(worker); });
@@ -377,7 +377,7 @@ void PReduceStrategy::OnGradientReady(int worker) {
 }
 
 void PReduceStrategy::SendSignal(int worker) {
-  const FaultPlan& plan = ctx_->options().fault;
+  const FaultPlan& plan = ctx_->config().run.fault;
   if (plan.has_message_faults()) {
     // Mirror the worker->controller edge of the threaded fabric: a dropped
     // ready signal costs the protocol one resend interval, then retries
@@ -451,7 +451,7 @@ void PReduceStrategy::HandleDecisions(
       if (CrashArmed(m, /*in_group=*/true)) crashed.push_back(m);
     }
     if (!crashed.empty()) {
-      const FaultPlan& plan = ctx_->options().fault;
+      const FaultPlan& plan = ctx_->config().run.fault;
       const double stall = plan.lease_seconds * plan.missed_threshold;
       for (int m : decision.members) {
         crashed_[static_cast<size_t>(m)] =
@@ -474,13 +474,13 @@ void PReduceStrategy::HandleDecisions(
     // pipelined ring.
     for (int m : decision.members) ctx_->MarkWaitEnd(m);
     double comm = ctx_->cost().controller_delay() +
-                  ctx_->cost().RingAllReduceSeconds(decision.members,
-                                                    ctx_->options().topology);
+                  ctx_->cost().RingAllReduceSeconds(
+                      decision.members, ctx_->config().run.topology);
     // Deterministic link delays stretch the group the same way the
     // FaultyTransport stretches real chunks: the group-info broadcast waits
     // on the slowest controller->member edge, and every ring step waits on
     // the slowest member->member edge, 2(p-1) steps per reduce.
-    const FaultPlan& fplan = ctx_->options().fault;
+    const FaultPlan& fplan = ctx_->config().run.fault;
     if (fplan.has_link_delays()) {
       double info_delay = 0.0;
       double worst_edge = 0.0;
@@ -565,7 +565,7 @@ void PReduceStrategy::OnGroupReduceDone(const GroupDecision& decision) {
   }
   ++completed_groups_;
   if (!outages_.empty()) {
-    const FaultPlan& plan = ctx_->options().fault;
+    const FaultPlan& plan = ctx_->config().run.fault;
     if (plan.reregister_report_groups > 0) {
       if (recent_groups_.size() >=
           static_cast<size_t>(plan.reregister_report_groups)) {

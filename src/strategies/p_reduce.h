@@ -83,7 +83,7 @@ class PReduceStrategy : public Strategy {
   std::vector<bool> active_;
   int active_count_ = 0;
 
-  // --- Fault mirroring (see SimTrainingOptions::fault) ---
+  // --- Fault mirroring (see ThreadedRunOptions::fault) ---
   std::vector<bool> crashed_;
   /// Per-worker ready-signal sequence numbers for deterministic drop rolls.
   std::vector<uint64_t> signal_seq_;

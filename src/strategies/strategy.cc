@@ -33,9 +33,9 @@ std::string StrategyKindName(StrategyKind kind) {
   return "?";
 }
 
-std::unique_ptr<Strategy> MakeStrategy(const StrategyOptions& options,
-                                       SimTraining* ctx) {
+std::unique_ptr<Strategy> MakeStrategy(SimTraining* ctx) {
   PR_CHECK(ctx != nullptr);
+  const StrategyOptions& options = ctx->config().strategy;
   switch (options.kind) {
     case StrategyKind::kAllReduce:
       return std::make_unique<AllReduceStrategy>(ctx, options.compression);

@@ -3,80 +3,11 @@
 #include <memory>
 #include <string>
 
-#include "compress/codec.h"
+#include "config/run_config.h"
 #include "core/controller.h"
-#include "scenario/scale_policy.h"
 #include "sim/sim_training.h"
 
 namespace pr {
-
-/// \brief Every synchronization scheme evaluated in the paper (§5.1).
-enum class StrategyKind {
-  kAllReduce,       ///< ring all-reduce with a global barrier (AR)
-  kEagerReduce,     ///< partial collectives with stale gradients (ER)
-  kAdPsgd,          ///< asynchronous decentralized pairwise gossip (AD)
-  kPsBsp,           ///< parameter server, bulk synchronous
-  kPsAsp,           ///< parameter server, fully asynchronous
-  kPsHete,          ///< ASP + staleness-scaled learning rate (PS HETE)
-  kPsBackup,        ///< synchronous SGD with backup workers (PS BK)
-  kPReduceConst,    ///< partial reduce, constant 1/P weights (CON)
-  kPReduceDynamic,  ///< partial reduce, dynamic EMA weights (DYN)
-};
-
-/// Short display name matching the paper's tables ("AR", "CON", ...).
-std::string StrategyKindName(StrategyKind kind);
-
-/// \brief A membership change during a simulated P-Reduce run (elastic
-/// training): the worker stops participating after its in-flight iteration
-/// (leave) or resumes with whatever parameters it last held (join).
-struct ChurnEvent {
-  double time = 0.0;
-  int worker = -1;
-  bool leave = true;  ///< false = rejoin
-};
-
-/// \brief Strategy-specific knobs.
-struct StrategyOptions {
-  StrategyKind kind = StrategyKind::kPReduceConst;
-  /// P for partial reduce.
-  int group_size = 3;
-  /// Backup worker count b for PS-BK (accepts N - b gradients per round).
-  int backup_workers = 3;
-  /// Quorum for Eager-Reduce; 0 selects majority floor(N/2) + 1.
-  int er_quorum = 0;
-  /// Dynamic partial-reduce weight options.
-  DynamicWeightOptions dynamic;
-  /// Group-frozen avoidance toggle (ablation).
-  bool frozen_avoidance = true;
-  /// History window T; 0 = paper minimum.
-  size_t history_window = 0;
-  /// Record W_k matrices for spectral diagnostics (small N only).
-  bool record_sync_matrices = false;
-  /// Elastic membership schedule (P-Reduce only). The active worker count
-  /// must never drop below group_size.
-  std::vector<ChurnEvent> churn;
-  /// P-Reduce ablation: also average the members' momentum buffers during
-  /// a group reduce. The paper's prototype averages only parameters
-  /// (momentum stays local); merging optimizer state is the natural
-  /// alternative from the local-SGD literature.
-  bool average_momentum = false;
-  /// Gradient/model compression applied to every strategy's bulk payloads
-  /// (ring hops, PS pushes and model replies, gossip exchanges), with
-  /// per-worker error feedback. kNone = exact fp32 (the default).
-  CompressionKind compression = CompressionKind::kNone;
-  /// Two-level hierarchical P-Reduce (intra-node partial groups plus
-  /// scheduled cross-node merges). Requires a non-flat run topology; a no-op
-  /// otherwise.
-  HierarchyOptions hierarchy;
-  /// Ring-cost budget for the group filter's topology-aware connectivity
-  /// check; 0 disables the budget (FIFO picks always stand).
-  double group_cost_budget = 0.0;
-  /// Autoscaling + graceful-degradation policy (P-Reduce only): watches
-  /// idle/throughput samples and pauses/readmits workers through the
-  /// elastic churn paths; the degradation gates relax group formation under
-  /// sustained membership loss. Serialized as `strategy.scale_policy.*`.
-  ScalePolicyConfig scale_policy;
-};
 
 /// \brief A synchronization strategy driving a simulated training run.
 ///
@@ -97,8 +28,8 @@ class Strategy {
   virtual const Controller* controller() const { return nullptr; }
 };
 
-/// \brief Factory. `ctx` must outlive the strategy.
-std::unique_ptr<Strategy> MakeStrategy(const StrategyOptions& options,
-                                       SimTraining* ctx);
+/// \brief Factory for the strategy `ctx->config().strategy` selects. `ctx`
+/// must outlive the strategy.
+std::unique_ptr<Strategy> MakeStrategy(SimTraining* ctx);
 
 }  // namespace pr

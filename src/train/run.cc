@@ -1,45 +1,26 @@
 #include "train/run.h"
 
-#include <algorithm>
+#include <filesystem>
+#include <memory>
 
+#include "ckpt/manifest.h"
 #include "common/check.h"
+#include "runtime/threaded_strategy.h"
+#include "runtime/worker_runtime.h"
+#include "strategies/strategy.h"
 
 namespace pr {
 namespace {
 
-/// Global updates the sim engine should run to consume the same gradient
-/// budget the threaded engine would (num_workers x iterations_per_worker).
-size_t DerivedUpdateBudget(const RunConfig& config) {
-  const double total_gradients =
-      static_cast<double>(config.run.num_workers) *
-      static_cast<double>(config.run.iterations_per_worker);
-  double per_update = 1.0;
-  switch (config.strategy.kind) {
-    case StrategyKind::kAllReduce:
-    case StrategyKind::kPsBsp:
-    case StrategyKind::kPsBackup:
-      per_update = static_cast<double>(config.run.num_workers);
-      break;
-    case StrategyKind::kPReduceConst:
-    case StrategyKind::kPReduceDynamic:
-      per_update = static_cast<double>(std::max(1, config.strategy.group_size));
-      break;
-    case StrategyKind::kEagerReduce:
-      per_update = static_cast<double>(std::max(1, config.strategy.er_quorum));
-      break;
-    case StrategyKind::kAdPsgd:
-      per_update = 2.0;
-      break;
-    case StrategyKind::kPsAsp:
-    case StrategyKind::kPsHete:
-      per_update = 1.0;
-      break;
-  }
-  const double updates = total_gradients / per_update;
-  return static_cast<size_t>(std::max(1.0, updates + 0.5));
-}
-
-RunOutcome FromThreaded(ThreadedRunResult result) {
+/// Real threads. `resume` (with `resume_dir`, the directory of its shards)
+/// seeds the run when set.
+RunOutcome RunThreadedEngine(const RunConfig& config,
+                             const RunManifest* resume,
+                             const std::string& resume_dir) {
+  std::unique_ptr<ThreadedStrategy> impl =
+      MakeThreadedStrategy(config.strategy);
+  WorkerRuntime runtime(config.strategy, config.run, resume, resume_dir);
+  ThreadedRunResult result = runtime.Run(impl.get());
   RunOutcome out;
   out.engine = EngineKind::kThreaded;
   out.strategy = result.strategy;
@@ -53,7 +34,26 @@ RunOutcome FromThreaded(ThreadedRunResult result) {
   return out;
 }
 
-RunOutcome FromSim(SimRunResult result) {
+/// The discrete-event simulator, to the update budget, the accuracy
+/// threshold or the virtual-time cap, whichever comes first.
+RunOutcome RunSimEngine(const RunConfig& config, const RunManifest* resume,
+                        const std::string& resume_dir) {
+  SimTraining ctx(config);
+  if (resume != nullptr) ctx.RestoreFromManifest(*resume, resume_dir);
+  std::unique_ptr<Strategy> strategy = MakeStrategy(&ctx);
+  PR_CHECK(!config.run.ckpt.enabled() || ctx.checkpoint_configured())
+      << "strategy " << strategy->Name()
+      << " does not support coordinated checkpointing";
+  strategy->Start();
+  ctx.engine()->RunUntil([&] { return ctx.stopped(); },
+                         config.sim.max_sim_seconds);
+  // Final evaluation if the run ended between periodic evals.
+  ctx.EvaluateNow();
+  SimRunResult result = ctx.BuildResult(strategy->Name());
+  if (const Controller* controller = strategy->controller()) {
+    result.bridged_groups = controller->stats().bridged_groups;
+    result.frozen_detections = controller->stats().frozen_detections;
+  }
   RunOutcome out;
   out.engine = EngineKind::kSim;
   out.strategy = result.strategy;
@@ -65,6 +65,19 @@ RunOutcome FromSim(SimRunResult result) {
   out.trace = result.trace;
   out.sim = std::move(result);
   return out;
+}
+
+RunOutcome Run(const RunConfig& config, EngineKind engine,
+               const RunManifest* resume, const std::string& resume_dir) {
+  ValidateRunConfig(config, engine);
+  switch (engine) {
+    case EngineKind::kThreaded:
+      return RunThreadedEngine(config, resume, resume_dir);
+    case EngineKind::kSim:
+      return RunSimEngine(config, resume, resume_dir);
+  }
+  PR_CHECK(false) << "unknown engine kind";
+  return RunOutcome{};
 }
 
 }  // namespace
@@ -91,53 +104,53 @@ bool ParseEngineKind(const std::string& token, EngineKind* out) {
   return false;
 }
 
-ExperimentConfig ToExperimentConfig(const RunConfig& config) {
-  ExperimentConfig out;
-  out.strategy = config.strategy;
-  SimTrainingOptions& t = out.training;
-  const ThreadedRunOptions& r = config.run;
-  t.num_workers = r.num_workers;
-  t.batch_size = r.batch_size;
-  t.sgd = r.sgd;
-  t.model = r.model;
-  t.custom_dataset = r.dataset;
-  t.fault = r.fault;
-  t.scenario = r.scenario;
-  t.topology = r.topology;
-  t.ckpt = r.ckpt;
-  t.seed = r.seed;
-  t.trace_capacity = r.trace_capacity;
-  t.record_timeline = r.record_timeline;
-  // Budget-driven stop, matching the threaded engine's semantics: no
-  // accuracy early-exit, one evaluation at the end.
-  t.accuracy_threshold = -1.0;
-  t.max_updates = DerivedUpdateBudget(config);
-  t.eval_every = t.max_updates + 1;
-  return out;
-}
-
 RunOutcome StartRun(const RunConfig& config, EngineKind engine) {
-  switch (engine) {
-    case EngineKind::kThreaded:
-      return FromThreaded(RunThreaded(config));
-    case EngineKind::kSim:
-      return FromSim(RunExperiment(ToExperimentConfig(config)));
-  }
-  PR_CHECK(false) << "unknown engine kind";
-  return RunOutcome{};
+  return Run(config, engine, nullptr, "");
 }
 
 RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
                      const std::string& manifest_path) {
-  switch (engine) {
-    case EngineKind::kThreaded:
-      return FromThreaded(RestoreThreadedRun(config, manifest_path));
-    case EngineKind::kSim:
-      return FromSim(
-          RestoreSimRun(ToExperimentConfig(config), manifest_path));
+  RunManifest manifest;
+  const Status s = LoadManifest(manifest_path, &manifest);
+  PR_CHECK(s.ok()) << "loading manifest " << manifest_path << ": "
+                   << s.message();
+  PR_CHECK(manifest.engine == EngineKindName(engine))
+      << "manifest was written by the '" << manifest.engine << "' engine";
+  PR_CHECK(manifest.strategy == StrategyKindName(config.strategy.kind))
+      << "manifest strategy " << manifest.strategy
+      << " does not match the requested "
+      << StrategyKindName(config.strategy.kind);
+  PR_CHECK_EQ(manifest.seed, config.run.seed)
+      << "resuming with a different seed would draw different batches";
+  return Run(config, engine, &manifest,
+             std::filesystem::path(manifest_path).parent_path().string());
+}
+
+AggregateResult RunExperimentSeeds(const RunConfig& config,
+                                   size_t num_seeds) {
+  PR_CHECK_GE(num_seeds, 1u);
+  AggregateResult agg;
+  agg.num_runs = num_seeds;
+  for (size_t s = 0; s < num_seeds; ++s) {
+    RunConfig cfg = config;
+    cfg.run.seed = config.run.seed + s;
+    SimRunResult run = StartRun(cfg, EngineKind::kSim).sim;
+    agg.strategy = run.strategy;
+    if (run.converged) ++agg.num_converged;
+    agg.mean_run_time += run.sim_seconds;
+    agg.mean_updates += static_cast<double>(run.updates);
+    agg.mean_per_update += run.per_update_seconds;
+    agg.mean_final_accuracy += run.final_accuracy;
+    agg.mean_idle_fraction += run.mean_idle_fraction;
+    agg.runs.push_back(std::move(run));
   }
-  PR_CHECK(false) << "unknown engine kind";
-  return RunOutcome{};
+  const double inv = 1.0 / static_cast<double>(num_seeds);
+  agg.mean_run_time *= inv;
+  agg.mean_updates *= inv;
+  agg.mean_per_update *= inv;
+  agg.mean_final_accuracy *= inv;
+  agg.mean_idle_fraction *= inv;
+  return agg;
 }
 
 }  // namespace pr

@@ -1,23 +1,12 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "sim/sim_training.h"
 
 namespace pr {
-
-/// \brief Which execution engine carries a run.
-///
-/// The same RunConfig drives both: kThreaded executes on real OS threads
-/// through WorkerRuntime (wall-clock time, real transport), kSim executes
-/// under the discrete-event simulator (virtual time, cost-model transport).
-/// Callers that schedule runs as workload — the job service, benches,
-/// examples — pick an engine per run instead of hard-coding an entry point.
-enum class EngineKind {
-  kThreaded,
-  kSim,
-};
 
 /// "threaded" / "sim".
 const char* EngineKindName(EngineKind kind);
@@ -49,29 +38,54 @@ struct RunOutcome {
   SimRunResult sim;
 };
 
-/// \brief Maps a threaded-run request onto the simulator's configuration.
+/// \brief The one run entry point: validates `config` (ValidateRunConfig),
+/// executes it end-to-end on the chosen engine and returns the
+/// engine-agnostic outcome.
 ///
-/// Workers, batch size, SGD options, model spec, dataset spec, fault plan,
-/// checkpoint config, seed, and observability knobs carry over directly.
-/// The simulator stops on an update budget rather than per-worker iteration
-/// counts, so the threaded gradient budget (num_workers x
-/// iterations_per_worker) is converted into the equivalent number of global
-/// updates for the strategy kind (AR/PS rounds consume N gradients each,
-/// P-Reduce groups consume group_size, AD-PSGD pairs consume 2, asynchronous
-/// pushes consume 1). Accuracy-based stopping is disabled: a facade run
-/// executes its budget, like the threaded engine does.
-ExperimentConfig ToExperimentConfig(const RunConfig& config);
-
-/// \brief Unified run entry: executes `config` end-to-end on the chosen
-/// engine and returns the engine-agnostic outcome. RunThreaded/RunExperiment
-/// remain as the engine-specific entry points beneath this facade.
+/// kThreaded runs `config.strategy.kind` on real threads; every StrategyKind
+/// the simulator covers also runs there (see runtime/threaded_strategy.h).
+/// kSim runs the same config under virtual time until the update budget
+/// (`config.sim.max_updates`, derived from the threaded gradient budget when
+/// 0), the accuracy threshold, or `config.sim.max_sim_seconds` stops it.
 RunOutcome StartRun(const RunConfig& config,
                     EngineKind engine = EngineKind::kThreaded);
 
-/// \brief Unified resume entry over RestoreThreadedRun / RestoreSimRun:
-/// resumes `config` from a checkpoint manifest written by an earlier run of
-/// the same configuration on the same engine.
+/// \brief The one resume entry point: resumes `config` from a checkpoint
+/// manifest written by an earlier (possibly killed) run of the same
+/// configuration on the same engine.
+///
+/// Loads the manifest once and checks its engine, strategy and seed against
+/// the request; each engine then checks the shape (worker count, model
+/// size). Replicas, optimizer momentum and iteration counters come from the
+/// shards, each worker's batch sampler is fast-forwarded past the restored
+/// draws, and the P-Reduce controller's history window and group-id
+/// watermark are re-seeded. Threaded runs finish the remaining
+/// `iterations_per_worker - completed` iterations; simulated runs resume
+/// the global update count and restart the virtual clock at 0. Metric
+/// continuity: worker.<i>.iterations counters start at the restored counts
+/// and ckpt.restore_count is 1. Resuming the same manifest twice yields
+/// identical results.
 RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
                      const std::string& manifest_path);
+
+/// \brief Seed-averaged metrics over repeated simulated runs of one cell
+/// (the paper averages five runs per cell).
+struct AggregateResult {
+  std::string strategy;
+  size_t num_runs = 0;
+  size_t num_converged = 0;
+  double mean_run_time = 0.0;        ///< virtual seconds to stop
+  double mean_updates = 0.0;
+  double mean_per_update = 0.0;
+  double mean_final_accuracy = 0.0;
+  double mean_idle_fraction = 0.0;
+  std::vector<SimRunResult> runs;
+
+  bool AllConverged() const { return num_converged == num_runs; }
+};
+
+/// \brief Runs `num_seeds` simulated replicas of the cell with run seeds
+/// seed, seed+1, ...
+AggregateResult RunExperimentSeeds(const RunConfig& config, size_t num_seeds);
 
 }  // namespace pr

@@ -6,7 +6,7 @@
 #include "fault/fault_plan.h"
 #include "runtime/threaded_runtime.h"
 #include "sim/sim_training.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace pr {
@@ -66,7 +66,7 @@ void CheckReportJson(const std::string& json, const std::string& engine) {
 
 void RunThreadedChaos(uint64_t seed, StrategyKind kind) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  ThreadedRunResult result = RunThreaded(ChaosConfig(seed, kind));
+  ThreadedRunResult result = StartRun(ChaosConfig(seed, kind)).threaded;
 
   // The run completed (no deadlock) and the controller noticed the death.
   EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
@@ -108,7 +108,7 @@ TEST(ChaosTest, DropsActuallyInjected) {
   double total_drops = 0.0;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     ThreadedRunResult result =
-        RunThreaded(ChaosConfig(seed, StrategyKind::kPReduceConst));
+        StartRun(ChaosConfig(seed, StrategyKind::kPReduceConst)).threaded;
     total_drops += result.metrics.counter("fault.injected_drops");
   }
   EXPECT_GT(total_drops, 0.0);
@@ -126,7 +126,7 @@ TEST(ChaosTest, HungWorkerIsEvictedAndReadmitted) {
       config.run.fault.lease_seconds * config.run.fault.missed_threshold +
       0.3;
   config.run.fault.worker_events.push_back(hang);
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
 
   EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
   // The hung worker rejoined and still finished its whole budget.
@@ -145,7 +145,7 @@ TEST(ChaosTest, SlowdownFaultStretchesCompute) {
   event.after_iterations = 0;
   event.slowdown_factor = 8.0;
   slow.run.fault.worker_events.push_back(event);
-  ThreadedRunResult result = RunThreaded(slow);
+  ThreadedRunResult result = StartRun(slow).threaded;
 
   const double slowed =
       result.metrics.counter("worker.1.compute_seconds");
@@ -162,16 +162,20 @@ TEST(ChaosTest, SlowdownFaultStretchesCompute) {
 // ---------------------------------------------------------------------------
 
 SimRunResult RunSimChaos(uint64_t seed) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 80;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = seed;
-  config.training.fault =
+  RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.sim.eval_every = 25;
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 80;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = seed;
+  config.run.fault =
       MakeChaosPlan(seed, kCrashWorker, kCrashAfter, kDropProb);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  return RunExperiment(config);
+  return StartRun(config, EngineKind::kSim).sim;
 }
 
 TEST(ChaosTest, SimulatorMirrorsCrashRecoveryAcrossSeeds) {
@@ -217,8 +221,8 @@ TEST(ChaosTest, ThreadedControllerRestartRecovers) {
     RunConfig faulty = ThreadedFailoverConfig(seed, /*restart=*/true);
     RunConfig clean = faulty;
     clean.run.fault = FaultPlan{};
-    ThreadedRunResult with_failover = RunThreaded(faulty);
-    ThreadedRunResult uninterrupted = RunThreaded(clean);
+    ThreadedRunResult with_failover = StartRun(faulty).threaded;
+    ThreadedRunResult uninterrupted = StartRun(clean).threaded;
 
     // The controller died once and came back; at least one parked worker
     // re-registered with the new incarnation.
@@ -247,7 +251,7 @@ TEST(ChaosTest, ThreadedPermanentControllerCrashFinishesLocally) {
   config.run.fault.max_controller_outage_seconds = 0.3;
   config.run.fault.reregister_backoff_seconds = 0.02;
   config.run.fault.reregister_backoff_max_seconds = 0.1;
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
 
   // No restart ever happened, the severed endpoint ate traffic, and every
   // worker still finished its budget through the local-progress valve.
@@ -259,13 +263,17 @@ TEST(ChaosTest, ThreadedPermanentControllerCrashFinishesLocally) {
 }
 
 SimRunResult RunSimFailover(uint64_t seed, bool restart) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 60;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = seed;
-  config.training.sgd.learning_rate = kFailoverLr;
-  config.training.fault =
+  RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.sim.eval_every = 25;
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 60;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = seed;
+  config.run.sgd.learning_rate = kFailoverLr;
+  config.run.fault =
       restart ? MakeControllerRestartPlan(seed, /*after_groups=*/5,
                                           /*down_seconds=*/0.2,
                                           /*drop_prob=*/0.0)
@@ -273,7 +281,7 @@ SimRunResult RunSimFailover(uint64_t seed, bool restart) {
                                         /*drop_prob=*/0.0);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  return RunExperiment(config);
+  return StartRun(config, EngineKind::kSim).sim;
 }
 
 TEST(ChaosTest, SimulatorMirrorsControllerRestart) {
@@ -281,15 +289,19 @@ TEST(ChaosTest, SimulatorMirrorsControllerRestart) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     SimRunResult with_failover = RunSimFailover(seed, /*restart=*/true);
 
-    ExperimentConfig clean_config;
-    clean_config.training.num_workers = kWorkers;
-    clean_config.training.max_updates = 60;
-    clean_config.training.accuracy_threshold = -1.0;
-    clean_config.training.seed = seed;
-    clean_config.training.sgd.learning_rate = kFailoverLr;
+    RunConfig clean_config;
+    clean_config.run.batch_size = 8;
+    clean_config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+    clean_config.run.dataset = SpecForDataset("cifar10");
+    clean_config.sim.eval_every = 25;
+    clean_config.run.num_workers = kWorkers;
+    clean_config.sim.max_updates = 60;
+    clean_config.sim.accuracy_threshold = -1.0;
+    clean_config.run.seed = seed;
+    clean_config.run.sgd.learning_rate = kFailoverLr;
     clean_config.strategy.kind = StrategyKind::kPReduceConst;
     clean_config.strategy.group_size = kGroupSize;
-    SimRunResult uninterrupted = RunExperiment(clean_config);
+    SimRunResult uninterrupted = StartRun(clean_config, EngineKind::kSim).sim;
 
     EXPECT_EQ(with_failover.metrics.counter("controller.failovers"), 1.0);
     EXPECT_GE(with_failover.metrics.counter("controller.reregistrations"),
@@ -327,7 +339,7 @@ TEST(ChaosTest, SimulatorControllerFailoverIsDeterministic) {
 
 TEST(ChaosTest, FailoverMetricNamesMatchAcrossEngines) {
   ThreadedRunResult threaded =
-      RunThreaded(ThreadedFailoverConfig(1, /*restart=*/true));
+      StartRun(ThreadedFailoverConfig(1, /*restart=*/true)).threaded;
   SimRunResult sim = RunSimFailover(1, /*restart=*/true);
   for (const char* name :
        {"controller.failovers", "controller.reregistrations",
@@ -354,8 +366,8 @@ TEST(ChaosTest, ThreadedCompressedChaosKeepsLossParity) {
   RunConfig compressed = plain;
   compressed.strategy.compression = CompressionKind::kInt8;
 
-  ThreadedRunResult plain_run = RunThreaded(plain);
-  ThreadedRunResult compressed_run = RunThreaded(compressed);
+  ThreadedRunResult plain_run = StartRun(plain).threaded;
+  ThreadedRunResult compressed_run = StartRun(compressed).threaded;
 
   // The fault machinery is codec-blind: crash noticed, group aborted,
   // survivors finish their budgets.
@@ -384,19 +396,23 @@ TEST(ChaosTest, ThreadedCompressedChaosKeepsLossParity) {
 }
 
 TEST(ChaosTest, SimulatorCompressedChaosKeepsLossParity) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 80;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 5;
-  config.training.fault =
+  RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.sim.eval_every = 25;
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 80;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 5;
+  config.run.fault =
       MakeChaosPlan(5, kCrashWorker, kCrashAfter, kDropProb);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  SimRunResult plain_run = RunExperiment(config);
+  SimRunResult plain_run = StartRun(config, EngineKind::kSim).sim;
 
   config.strategy.compression = CompressionKind::kInt8;
-  SimRunResult compressed_run = RunExperiment(config);
+  SimRunResult compressed_run = StartRun(config, EngineKind::kSim).sim;
 
   // Quantization perturbs values, never virtual time: the schedule, the
   // fault story, and the update budget are identical.

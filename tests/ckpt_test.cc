@@ -8,7 +8,7 @@
 
 #include "ckpt/manifest.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -158,7 +158,7 @@ TEST(CkptRestoreTest, AllReduceRestoreIsBitForBitIdentical) {
   CkptDir dir("ar_bitwise");
   const RunConfig config =
       SmallThreadedConfig(StrategyKind::kAllReduce, dir.path());
-  ThreadedRunResult full = RunThreaded(config);
+  ThreadedRunResult full = StartRun(config).threaded;
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 2.0);
   ASSERT_FALSE(full.final_params.empty());
 
@@ -167,7 +167,8 @@ TEST(CkptRestoreTest, AllReduceRestoreIsBitForBitIdentical) {
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
   EXPECT_EQ(latest.epoch, 2u);  // cuts at k=3 and k=6; k=9 ends the run
 
-  ThreadedRunResult restored = RestoreThreadedRun(config, manifest_path);
+  ThreadedRunResult restored =
+      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
   // The acceptance bar: a restored AR run must replay the exact remaining
   // iterations — same batches, same averaged gradients, same momentum — so
   // the final parameters match the never-interrupted run bit for bit.
@@ -185,7 +186,7 @@ TEST(CkptRestoreTest, PReduceRestoreFinishesTheBudget) {
   RunConfig config =
       SmallThreadedConfig(StrategyKind::kPReduceConst, dir.path());
   config.run.worker_delay_seconds.assign(4, 0.001);
-  ThreadedRunResult full = RunThreaded(config);
+  ThreadedRunResult full = StartRun(config).threaded;
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 1.0);
 
   RunManifest latest;
@@ -194,7 +195,8 @@ TEST(CkptRestoreTest, PReduceRestoreFinishesTheBudget) {
   EXPECT_EQ(latest.strategy, "CON");
   EXPECT_EQ(latest.engine, "threaded");
 
-  ThreadedRunResult restored = RestoreThreadedRun(config, manifest_path);
+  ThreadedRunResult restored =
+      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
   // Metric continuity: iteration counters resume at the restored counts, so
   // a resumed run reports the same totals as an uninterrupted one.
   for (size_t iters : restored.worker_iterations) {
@@ -210,28 +212,33 @@ TEST(CkptRestoreTest, RestoreRejectsMismatchedStrategy) {
   CkptDir dir("mismatch");
   const RunConfig config =
       SmallThreadedConfig(StrategyKind::kAllReduce, dir.path());
-  (void)RunThreaded(config);
+  (void)StartRun(config).threaded;
   RunManifest latest;
   std::string manifest_path;
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
 
   RunConfig wrong = config;
   wrong.strategy.kind = StrategyKind::kPReduceConst;
-  EXPECT_DEATH(RestoreThreadedRun(wrong, manifest_path), "strategy");
+  EXPECT_DEATH(ResumeRun(wrong, EngineKind::kThreaded, manifest_path),
+               "strategy");
 }
 
 // ---------------------------------------------------------------------------
 // Simulated engine: checkpoint + restore determinism.
 // ---------------------------------------------------------------------------
 
-ExperimentConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
-  ExperimentConfig config;
-  config.training.num_workers = 6;
-  config.training.max_updates = 40;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 5;
-  config.training.ckpt.dir = dir;
-  config.training.ckpt.every_updates = 10;
+RunConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
+  RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.sim.eval_every = 25;
+  config.run.num_workers = 6;
+  config.sim.max_updates = 40;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 5;
+  config.run.ckpt.dir = dir;
+  config.run.ckpt.every_updates = 10;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -239,9 +246,9 @@ ExperimentConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
 
 TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
   CkptDir dir("sim_det");
-  const ExperimentConfig config =
+  const RunConfig config =
       SmallSimConfig(StrategyKind::kPReduceConst, dir.path());
-  SimRunResult full = RunExperiment(config);
+  SimRunResult full = StartRun(config, EngineKind::kSim).sim;
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 1.0);
   EXPECT_EQ(full.updates, 40u);
 
@@ -250,8 +257,8 @@ TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
   EXPECT_EQ(latest.engine, "sim");
 
-  SimRunResult a = RestoreSimRun(config, manifest_path);
-  SimRunResult b = RestoreSimRun(config, manifest_path);
+  SimRunResult a = ResumeRun(config, EngineKind::kSim, manifest_path).sim;
+  SimRunResult b = ResumeRun(config, EngineKind::kSim, manifest_path).sim;
   // The simulator is deterministic in (seed, restored state): two restores
   // of one manifest must replay identically, down to the virtual clock.
   EXPECT_EQ(a.updates, 40u);
@@ -265,15 +272,16 @@ TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
 
 TEST(CkptRestoreTest, SimAllReduceCheckpoints) {
   CkptDir dir("sim_ar");
-  const ExperimentConfig config =
+  const RunConfig config =
       SmallSimConfig(StrategyKind::kAllReduce, dir.path());
-  SimRunResult full = RunExperiment(config);
+  SimRunResult full = StartRun(config, EngineKind::kSim).sim;
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 1.0);
 
   RunManifest latest;
   std::string manifest_path;
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
-  SimRunResult restored = RestoreSimRun(config, manifest_path);
+  SimRunResult restored =
+      ResumeRun(config, EngineKind::kSim, manifest_path).sim;
   EXPECT_EQ(restored.updates, 40u);
   EXPECT_EQ(restored.metrics.counter("ckpt.restore_count"), 1.0);
 }
@@ -285,10 +293,13 @@ TEST(CkptRestoreTest, SimAllReduceCheckpoints) {
 TEST(CkptRestoreTest, CkptMetricNamesMatchAcrossEngines) {
   CkptDir tdir("parity_threaded");
   CkptDir sdir("parity_sim");
-  ThreadedRunResult threaded = RunThreaded(
-      SmallThreadedConfig(StrategyKind::kAllReduce, tdir.path()));
+  ThreadedRunResult threaded =
+      StartRun(SmallThreadedConfig(StrategyKind::kAllReduce, tdir.path()))
+          .threaded;
   SimRunResult sim =
-      RunExperiment(SmallSimConfig(StrategyKind::kPReduceConst, sdir.path()));
+      StartRun(SmallSimConfig(StrategyKind::kPReduceConst, sdir.path()),
+               EngineKind::kSim)
+          .sim;
 
   for (const char* name : {"ckpt.manifests_written", "ckpt.restore_count"}) {
     EXPECT_TRUE(threaded.metrics.counters.count(name) != 0)

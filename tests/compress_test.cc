@@ -129,67 +129,9 @@ TEST(CodecTest, Int8RoundTripPerChunkErrorBound) {
   }
 }
 
-TEST(CodecTest, TopKKeepsLargestMagnitudesZeroesTheRest) {
-  auto codec = MakeCodec(CompressionKind::kTopK);
-  const size_t n = 64;
-  const size_t k = n / kTopKDivisor;
-  auto v = RandomVector(n, 21, 1.0);
-  // Make the magnitude ranking unambiguous.
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = (i % 2 == 0 ? 1.0f : -1.0f) * (0.5f + static_cast<float>(i));
-  }
-
-  Buffer blob = codec->Encode(v.data(), n);
-  std::vector<float> back;
-  ASSERT_TRUE(codec->Decode(blob, &back).ok());
-  ASSERT_EQ(back.size(), n);
-  size_t kept = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (back[i] != 0.0f) {
-      ++kept;
-      // Kept values pass through exactly.
-      EXPECT_EQ(back[i], v[i]) << "elem " << i;
-      // And must be among the k largest magnitudes (the top k indices here
-      // are the last k by construction).
-      EXPECT_GE(i, n - k) << "elem " << i << " is not a top-k magnitude";
-    }
-  }
-  EXPECT_EQ(kept, k);
-}
-
-TEST(CodecTest, TopKIsDeterministicAndBreaksTiesTowardLowerIndex) {
-  auto codec = MakeCodec(CompressionKind::kTopK);
-  const auto v = RandomVector(1000, 33);
-  Buffer a = codec->Encode(v.data(), v.size());
-  Buffer b = codec->Encode(v.data(), v.size());
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-      << "same input must produce bitwise-identical blobs";
-
-  // All-equal magnitudes: the k survivors must be the lowest indices.
-  std::vector<float> ties(16, 2.0f);
-  const size_t k = ties.size() / kTopKDivisor;
-  Buffer blob = codec->Encode(ties.data(), ties.size());
-  std::vector<float> back;
-  ASSERT_TRUE(codec->Decode(blob, &back).ok());
-  for (size_t i = 0; i < ties.size(); ++i) {
-    EXPECT_EQ(back[i], i < k ? 2.0f : 0.0f) << "elem " << i;
-  }
-}
-
-TEST(CodecTest, TopKKeepsAtLeastOneElement) {
-  auto codec = MakeCodec(CompressionKind::kTopK);
-  // n < kTopKDivisor would truncate to k == 0; the codec must keep one.
-  std::vector<float> v = {0.0f, -3.0f, 1.0f};
-  Buffer blob = codec->Encode(v.data(), v.size());
-  std::vector<float> back;
-  ASSERT_TRUE(codec->Decode(blob, &back).ok());
-  EXPECT_EQ(back, std::vector<float>({0.0f, -3.0f, 0.0f}));
-}
-
 TEST(CodecTest, EncodedBytesMatchesActualBlobAndAnalyticForm) {
-  for (CompressionKind kind : {CompressionKind::kFp16, CompressionKind::kInt8,
-                               CompressionKind::kTopK}) {
+  for (CompressionKind kind :
+       {CompressionKind::kFp16, CompressionKind::kInt8}) {
     auto codec = MakeCodec(kind);
     for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1023},
                      size_t{1024}, size_t{1025}, size_t{100000}}) {
@@ -211,12 +153,11 @@ TEST(CodecTest, CompressionRatiosAtOneMillionFloats) {
   const double raw = static_cast<double>(n) * sizeof(float);
   EXPECT_GE(raw / EncodedBlobBytes(CompressionKind::kInt8, n), 3.5);
   EXPECT_GE(raw / EncodedBlobBytes(CompressionKind::kFp16, n), 1.9);
-  EXPECT_GE(raw / EncodedBlobBytes(CompressionKind::kTopK, n), 3.5);
 }
 
 TEST(CodecTest, DecodeRejectsMalformedBlobs) {
-  for (CompressionKind kind : {CompressionKind::kFp16, CompressionKind::kInt8,
-                               CompressionKind::kTopK}) {
+  for (CompressionKind kind :
+       {CompressionKind::kFp16, CompressionKind::kInt8}) {
     auto codec = MakeCodec(kind);
     const auto v = RandomVector(300, 55);
     Buffer blob = codec->Encode(v.data(), v.size());
@@ -272,8 +213,8 @@ TEST(CodecTest, DecodeTaggedPayloadRoutesByTag) {
 
 TEST(CodecTest, NamesRoundTripThroughParse) {
   for (CompressionKind kind :
-       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kInt8,
-        CompressionKind::kTopK}) {
+       {CompressionKind::kNone, CompressionKind::kFp16,
+        CompressionKind::kInt8}) {
     CompressionKind parsed;
     ASSERT_TRUE(ParseCompressionKind(CompressionKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
@@ -320,31 +261,6 @@ TEST(CompressorTest, ErrorFeedbackTelescopesUnderInt8) {
   // The residual itself stays bounded (one step per position), not growing.
   EXPECT_LE(comp.ResidualL1(), n * step_bound);
   EXPECT_GT(comp.ResidualL1(), 0.0);
-}
-
-TEST(CompressorTest, ErrorFeedbackRecoversTopKDroppedMass) {
-  // Top-k drops 7/8 of positions per encode, but with error feedback every
-  // position's value keeps accumulating in the residual until it wins a
-  // round — over enough rounds each position's decoded sum tracks the true
-  // sum.
-  const size_t n = 64;
-  auto x = RandomVector(n, 91);
-  Compressor comp(CompressionKind::kTopK);
-
-  const int steps = 200;
-  std::vector<double> decoded_sum(n, 0.0);
-  for (int t = 0; t < steps; ++t) {
-    Buffer blob = comp.EncodeRange(x.data(), 0, n);
-    std::vector<float> back;
-    ASSERT_TRUE(comp.Decode(blob, &back).ok());
-    for (size_t i = 0; i < n; ++i) decoded_sum[i] += back[i];
-  }
-  for (size_t i = 0; i < n; ++i) {
-    // The outstanding residual is at most ~kTopKDivisor values' worth.
-    EXPECT_NEAR(decoded_sum[i] / steps, x[i],
-                std::abs(x[i]) * kTopKDivisor / steps + 0.05)
-        << "position " << i;
-  }
 }
 
 TEST(CompressorTest, ResidualIsIndexedByGlobalPosition) {
@@ -478,20 +394,6 @@ const GoldenCase kGolden[] = {
      0x3cbf9b73defa9fa6ull, 0xc6cac20400aa99bfull},
     {CompressionKind::kInt8, 32771, 0x9b0b308ce17c441bull,
      0x91f0b812776131a7ull, 0x870fe599ec9c0d1aull},
-    {CompressionKind::kTopK, 0, 0xd7e4fcfa299d713dull,
-     0xcbf29ce484222325ull, 0xcbf29ce484222325ull},
-    {CompressionKind::kTopK, 1, 0x4830202a690ee93bull,
-     0xaf63bd4c8601b7dfull, 0xe53e1a8e953c50bull},
-    {CompressionKind::kTopK, 3, 0xe6befa0662f0bb90ull,
-     0x2e049f439fe98e43ull, 0x120cdcfa8946de73ull},
-    {CompressionKind::kTopK, 1023, 0x4236f79dab5538f6ull,
-     0x4c4b96cd81d4070eull, 0x6dc1afeb4d153aefull},
-    {CompressionKind::kTopK, 1024, 0x33c3ede5835e0014ull,
-     0x97bad46a0850d96eull, 0x84c626b3c3a7e7a7ull},
-    {CompressionKind::kTopK, 1025, 0x7b258bc1c27c16ddull,
-     0x1d4d6d73752a7667ull, 0x449b6a75764ea0c5ull},
-    {CompressionKind::kTopK, 32771, 0x32297b0c1a2dc535ull,
-     0xa122808e28f459dcull, 0xb6b542a5cc21b8c0ull},
 };
 
 TEST(CodecTest, GoldenBlobsResidualsAndPublishedValues) {
@@ -517,9 +419,7 @@ TEST(CodecTest, GoldenBlobsResidualsAndPublishedValues) {
     EXPECT_TRUE(blobs == g.blobs && residual == g.residual &&
                 pub == g.published)
         << "golden mismatch; this code computes\n    {CompressionKind::k"
-        << (g.kind == CompressionKind::kFp16   ? "Fp16"
-            : g.kind == CompressionKind::kInt8 ? "Int8"
-                                               : "TopK")
+        << (g.kind == CompressionKind::kFp16 ? "Fp16" : "Int8")
         << ", " << n << ", 0x" << std::hex << blobs << "ull, 0x" << residual
         << "ull, 0x" << pub << "ull},";
   }
@@ -530,8 +430,8 @@ TEST(CodecTest, GoldenBlobsResidualsAndPublishedValues) {
 // replace, bit for bit.
 // ---------------------------------------------------------------------------
 
-const CompressionKind kAllCodecs[] = {
-    CompressionKind::kFp16, CompressionKind::kInt8, CompressionKind::kTopK};
+const CompressionKind kAllCodecs[] = {CompressionKind::kFp16,
+                                      CompressionKind::kInt8};
 const size_t kGoldenSizes[] = {0, 1, 3, 1023, 1024, 1025, 32771};
 
 bool BitwiseEqual(const float* a, const float* b, size_t n) {
@@ -671,27 +571,6 @@ TEST(CodecTest, DecodeAccumulateRejectsBadBlobsBeforeAnyWrite) {
     ExpectRejectedUntouched(*codec, Buffer::FromVector(recounted), n,
                             "inflated count word");
   }
-
-  // Top-k blobs also carry k and an ascending index list.
-  auto topk = MakeCodec(CompressionKind::kTopK);
-  const std::vector<float> x = GoldenInput(n, 9);
-  const Buffer blob = topk->Encode(x.data(), n);
-  const size_t k = n / kTopKDivisor;
-  std::vector<float> bad_k = Words(blob);
-  SetWordAt(&bad_k, 1, static_cast<uint32_t>(k - 1));
-  ExpectRejectedUntouched(*topk, Buffer::FromVector(bad_k), n, "wrong k");
-  std::vector<float> out_of_range = Words(blob);
-  SetWordAt(&out_of_range, 2 + k - 1, static_cast<uint32_t>(n));
-  ExpectRejectedUntouched(*topk, Buffer::FromVector(out_of_range), n,
-                          "index out of range");
-  std::vector<float> unordered = Words(blob);
-  std::swap(unordered[2], unordered[3]);
-  ExpectRejectedUntouched(*topk, Buffer::FromVector(unordered), n,
-                          "indices out of order");
-  std::vector<float> repeated = Words(blob);
-  repeated[3] = repeated[2];
-  ExpectRejectedUntouched(*topk, Buffer::FromVector(repeated), n,
-                          "repeated index");
 }
 
 // ---------------------------------------------------------------------------
@@ -773,21 +652,6 @@ TEST(CodecTest, Int8ChunkWithOverflowingRangeEncodesToNan) {
       0);
   EXPECT_EQ(first.lo, -3e38f);
   EXPECT_TRUE(std::isinf(first.scale));
-}
-
-TEST(CodecTest, TopKSendsNanAheadOfEveryMagnitude) {
-  auto codec = MakeCodec(CompressionKind::kTopK);
-  std::vector<float> x = {1.0f, -9.0f, 2.0f, 3.0f, 0.5f, 4.0f, 5.0f, 6.0f,
-                          7.0f, 8.0f,  1.5f, 2.5f, 3.5f, 4.5f, 5.5f, 6.5f};
-  x[12] = std::numeric_limits<float>::quiet_NaN();
-  const Buffer a = codec->Encode(x.data(), x.size());
-  EXPECT_TRUE(BitwiseEqual(a, codec->Encode(x.data(), x.size())));
-  std::vector<float> back;
-  ASSERT_TRUE(codec->Decode(a, &back).ok());
-  // k = 2: the NaN and the largest magnitude, -9.
-  EXPECT_EQ(back[1], -9.0f);
-  EXPECT_TRUE(std::isnan(back[12]));
-  EXPECT_EQ(std::count(back.begin(), back.end(), 0.0f), 14);
 }
 
 // ---------------------------------------------------------------------------
@@ -971,8 +835,7 @@ TEST_P(CompressedCollectiveTest, HandlesShortAndEmptyVectors) {
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CompressedCollectiveTest,
                          ::testing::Values(CompressionKind::kFp16,
-                                           CompressionKind::kInt8,
-                                           CompressionKind::kTopK),
+                                           CompressionKind::kInt8),
                          [](const auto& info) {
                            return CompressionKindName(info.param);
                          });
@@ -1056,8 +919,7 @@ TEST(CompressedCollectiveTest, SocketAndInProcAreBitwiseIdentical) {
   const auto weights = UniformWeights(p);
   const auto inputs = MakeInputs(p, n, 707);
 
-  for (CompressionKind kind : {CompressionKind::kFp16, CompressionKind::kInt8,
-                               CompressionKind::kTopK}) {
+  for (CompressionKind kind : {CompressionKind::kFp16, CompressionKind::kInt8}) {
     InProcTransport inproc(static_cast<int>(p));
     auto local = RunCompressed(&inproc, members, weights, inputs, kind);
 

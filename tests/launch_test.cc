@@ -306,7 +306,7 @@ TEST(ConfigJsonTest, RandomConfigsRoundTripThroughJson) {
     config.strategy.dynamic.staleness_tolerance =
         static_cast<int64_t>(rng() % 5);
     config.strategy.compression = static_cast<CompressionKind>(
-        rng() % kNumCompressionKinds);  // all four codec tokens
+        rng() % kNumCompressionKinds);  // every codec token
     if (coin()) {
       config.strategy.hierarchy.enabled = true;
       config.strategy.hierarchy.cross_period = 1 + static_cast<int>(rng() % 8);

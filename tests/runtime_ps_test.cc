@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/threaded_runtime.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -28,7 +29,7 @@ const HistogramSnapshot* Staleness(const ThreadedRunResult& result) {
 
 TEST(RuntimePsTest, BspCompletesAndLearns) {
   RunConfig config = SmallConfig(StrategyKind::kPsBsp);
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   // BSP: one version per round, iterations_per_worker rounds.
   EXPECT_EQ(result.versions, config.run.iterations_per_worker);
   EXPECT_GT(result.final_accuracy, 0.6);
@@ -36,7 +37,7 @@ TEST(RuntimePsTest, BspCompletesAndLearns) {
 
 TEST(RuntimePsTest, BspHasZeroStaleness) {
   RunConfig config = SmallConfig(StrategyKind::kPsBsp);
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   // Lockstep: every push targets the version it pulled, so every
   // observation lands in the zero bucket.
   const HistogramSnapshot* hist = Staleness(result);
@@ -49,7 +50,7 @@ TEST(RuntimePsTest, BspHasZeroStaleness) {
 TEST(RuntimePsTest, AspCompletesAndLearns) {
   RunConfig config = SmallConfig(StrategyKind::kPsAsp);
   config.run.iterations_per_worker = 60;
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   // ASP: one version per push.
   EXPECT_EQ(result.versions,
             static_cast<uint64_t>(config.run.num_workers) *
@@ -61,7 +62,7 @@ TEST(RuntimePsTest, AspObservesStalenessUnderStraggler) {
   RunConfig config = SmallConfig(StrategyKind::kPsAsp);
   config.run.iterations_per_worker = 20;
   config.run.worker_delay_seconds = {0.0, 0.0, 0.0, 0.004};
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   // Some push must have seen staleness >= 1 (fast workers advance the
   // version while the straggler computes).
   const HistogramSnapshot* hist = Staleness(result);
@@ -74,7 +75,7 @@ TEST(RuntimePsTest, StragglerDoesNotBlockAspCompletion) {
   RunConfig config = SmallConfig(StrategyKind::kPsAsp);
   config.run.iterations_per_worker = 15;
   config.run.worker_delay_seconds = {0.0, 0.0, 0.0, 0.01};
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   EXPECT_EQ(result.versions, 4u * 15u);
 }
 
@@ -82,14 +83,14 @@ TEST(RuntimePsTest, SingleWorkerDegeneratesToSequentialSgd) {
   RunConfig config = SmallConfig(StrategyKind::kPsBsp);
   config.run.num_workers = 1;
   config.run.iterations_per_worker = 100;
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   EXPECT_EQ(result.versions, 100u);
   EXPECT_GT(result.final_accuracy, 0.6);
 }
 
 TEST(RuntimePsTest, PsMetricsAccountForEveryPush) {
   RunConfig config = SmallConfig(StrategyKind::kPsBsp);
-  ThreadedRunResult result = RunThreaded(config);
+  ThreadedRunResult result = StartRun(config).threaded;
   // ps.versions counts server version bumps; the staleness histogram's
   // total count equals the number of pushes the server accepted.
   EXPECT_EQ(static_cast<uint64_t>(result.metrics.counter("ps.versions")),

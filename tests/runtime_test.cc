@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -38,7 +38,7 @@ ThreadedRunResult RunPair(const StrategyOptions& strategy,
   RunConfig config;
   config.strategy = strategy;
   config.run = run;
-  return RunThreaded(config);
+  return StartRun(config).threaded;
 }
 
 TEST(ThreadedRuntimeTest, PReduceCompletesAndLearns) {
@@ -269,7 +269,7 @@ TEST(ThreadedRuntimeTest, ElasticWorkerPausesAndRejoins) {
 
 TEST(ThreadedRuntimeTest, ConvNetTrainsOnThreads) {
   ThreadedRunOptions opt = SmallOptions();
-  opt.model.kind = ThreadedModelSpec::Kind::kConvNet;
+  opt.model.kind = ProxyModelSpec::Kind::kConvNet;
   opt.model.conv_filters = 8;  // dataset dim 16 -> 4x4 single-channel
   ThreadedRunResult result =
       RunPair(Strat(StrategyKind::kPReduceConst), opt);
@@ -343,13 +343,18 @@ TEST(ThreadedRuntimeTest, SimAndThreadedShareMetricNames) {
   ThreadedRunResult threaded =
       RunPair(Strat(StrategyKind::kPReduceConst), SmallOptions());
 
-  ExperimentConfig sim;
-  sim.training.num_workers = 4;
-  sim.training.max_updates = 60;
-  sim.training.accuracy_threshold = -1.0;
+  RunConfig sim;
+  sim.run.batch_size = 8;
+  sim.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  sim.run.dataset = SpecForDataset("cifar10");
+  sim.sim.eval_every = 25;
+  sim.run.seed = 1;
+  sim.run.num_workers = 4;
+  sim.sim.max_updates = 60;
+  sim.sim.accuracy_threshold = -1.0;
   sim.strategy.kind = StrategyKind::kPReduceConst;
   sim.strategy.group_size = 2;
-  SimRunResult simulated = RunExperiment(sim);
+  SimRunResult simulated = StartRun(sim, EngineKind::kSim).sim;
 
   const char* shared_counters[] = {
       "controller.signals_received", "controller.groups_formed",
@@ -398,14 +403,19 @@ TEST(ThreadedRuntimeTest, TopologyMetricsAgreeAcrossEngines) {
   ASSERT_TRUE(Topology::FromNodes({{0, 1}, {2, 3}}, &opt.topology).ok());
   ThreadedRunResult threaded = RunPair(strat, opt);
 
-  ExperimentConfig sim;
-  sim.training.num_workers = 4;
-  sim.training.max_updates = 60;
-  sim.training.accuracy_threshold = -1.0;
+  RunConfig sim;
+  sim.run.batch_size = 8;
+  sim.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  sim.run.dataset = SpecForDataset("cifar10");
+  sim.sim.eval_every = 25;
+  sim.run.seed = 1;
+  sim.run.num_workers = 4;
+  sim.sim.max_updates = 60;
+  sim.sim.accuracy_threshold = -1.0;
   ASSERT_TRUE(
-      Topology::FromNodes({{0, 1}, {2, 3}}, &sim.training.topology).ok());
+      Topology::FromNodes({{0, 1}, {2, 3}}, &sim.run.topology).ok());
   sim.strategy = strat;
-  SimRunResult simulated = RunExperiment(sim);
+  SimRunResult simulated = StartRun(sim, EngineKind::kSim).sim;
 
   for (const auto* r : {&threaded.metrics, &simulated.metrics}) {
     EXPECT_GT(r->counter("topo.intra_node_groups"), 0.0);
@@ -431,7 +441,7 @@ TEST(ThreadedRuntimeTest, TraceDisabledByDefaultAndBoundedWhenOn) {
   config.strategy = Strat(StrategyKind::kPReduceConst);
   config.run = SmallOptions();
   config.run.trace_capacity = 64;
-  ThreadedRunResult on = RunThreaded(config);
+  ThreadedRunResult on = StartRun(config).threaded;
   EXPECT_FALSE(on.trace.events.empty());
   EXPECT_LE(on.trace.events.size(), 64u);
   // A run of 4x30 iterations generates far more than 64 events; the ring

@@ -7,20 +7,21 @@
 namespace pr {
 namespace {
 
-SimTrainingOptions SmallOptions() {
-  SimTrainingOptions opt;
-  opt.num_workers = 4;
-  opt.model.hidden = {16};
-  opt.batch_size = 16;
+RunConfig SmallOptions() {
+  RunConfig opt;
+  opt.run.num_workers = 4;
+  opt.run.model.hidden = {16};
+  opt.run.batch_size = 16;
   SyntheticSpec spec;
   spec.num_train = 512;
   spec.num_test = 128;
   spec.dim = 16;
   spec.num_classes = 4;
-  opt.custom_dataset = spec;
-  opt.eval_every = 10;
-  opt.max_updates = 1000;
-  opt.seed = 2;
+  opt.run.dataset = spec;
+  opt.sim.accuracy_threshold = 0.9;
+  opt.sim.eval_every = 10;
+  opt.sim.max_updates = 1000;
+  opt.run.seed = 2;
   return opt;
 }
 
@@ -32,8 +33,8 @@ TEST(SimTrainingTest, ReplicasStartIdentical) {
 }
 
 TEST(SimTrainingTest, ComputeTimesArePositiveAndHeterogeneityAware) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.hetero = HeteroSpec::GpuSharing(2);
+  RunConfig opt = SmallOptions();
+  opt.sim.hetero = HeteroSpec::GpuSharing(2);
   SimTraining ctx(opt);
   double shared = 0.0, dedicated = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -84,18 +85,18 @@ TEST(SimTrainingTest, RecordUpdateCountsAndIntervals) {
 }
 
 TEST(SimTrainingTest, StopsAtMaxUpdates) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.max_updates = 5;
-  opt.accuracy_threshold = 2.0;  // unreachable
+  RunConfig opt = SmallOptions();
+  opt.sim.max_updates = 5;
+  opt.sim.accuracy_threshold = 2.0;  // unreachable
   SimTraining ctx(opt);
   for (int i = 0; i < 10; ++i) ctx.RecordUpdate();
   EXPECT_TRUE(ctx.stopped());
 }
 
 TEST(SimTrainingTest, TimingOnlySkipsMathAndStopsAtBudget) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.timing_only = true;
-  opt.timing_updates = 7;
+  RunConfig opt = SmallOptions();
+  opt.sim.timing_only = true;
+  opt.sim.max_updates = 7;
   SimTraining ctx(opt);
   std::vector<float> grad;
   const float loss = ctx.GradientAtSnapshot(0, &grad);
@@ -109,14 +110,14 @@ TEST(SimTrainingTest, TimingOnlySkipsMathAndStopsAtBudget) {
 }
 
 TEST(SimTrainingTest, ConvergenceStopsAtThreshold) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.accuracy_threshold = -1.0;  // disabled
+  RunConfig opt = SmallOptions();
+  opt.sim.accuracy_threshold = -1.0;  // disabled
   SimTraining ctx(opt);
   ctx.EvaluateNow();
   EXPECT_FALSE(ctx.stopped());
 
-  SimTrainingOptions opt2 = SmallOptions();
-  opt2.accuracy_threshold = 0.01;  // trivially reached even untrained
+  RunConfig opt2 = SmallOptions();
+  opt2.sim.accuracy_threshold = 0.01;  // trivially reached even untrained
   SimTraining ctx2(opt2);
   ctx2.EvaluateNow();
   EXPECT_TRUE(ctx2.stopped());
@@ -169,14 +170,14 @@ TEST(SimTrainingTest, IterationCounters) {
 }
 
 TEST(SimTrainingTest, LrDecayAppliedByUpdateCount) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.lr_decay.enabled = true;
-  opt.lr_decay.factor = 0.1;
-  opt.lr_decay.every_updates = 2;
-  opt.sgd.learning_rate = 1.0;
-  opt.sgd.momentum = 0.0;
-  opt.sgd.weight_decay = 0.0;
-  opt.accuracy_threshold = -1.0;
+  RunConfig opt = SmallOptions();
+  opt.sim.lr_decay.enabled = true;
+  opt.sim.lr_decay.factor = 0.1;
+  opt.sim.lr_decay.every_updates = 2;
+  opt.run.sgd.learning_rate = 1.0;
+  opt.run.sgd.momentum = 0.0;
+  opt.run.sgd.weight_decay = 0.0;
+  opt.sim.accuracy_threshold = -1.0;
   SimTraining ctx(opt);
 
   std::vector<float> grad(ctx.num_params(), 1.0f);

@@ -18,7 +18,7 @@
 #include "runtime/threaded_runtime.h"
 #include "runtime/threaded_strategy.h"
 #include "runtime/worker_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -187,7 +187,7 @@ std::set<std::string> Names(const Map& map) {
 TEST(SocketFabricTest, ConMetricNamesMatchInProcExactly) {
   const RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   ThreadedRunResult socket_run = RunOverSockets(config);
-  ThreadedRunResult inproc_run = RunThreaded(config);
+  ThreadedRunResult inproc_run = StartRun(config).threaded;
 
   EXPECT_EQ(socket_run.strategy, "CON");
   EXPECT_GT(socket_run.group_reduces, 0u);
@@ -207,14 +207,18 @@ TEST(SocketFabricTest, ConSharedFamiliesPresentInSimToo) {
   const RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   ThreadedRunResult socket_run = RunOverSockets(config);
 
-  ExperimentConfig sim_config;
-  sim_config.training.num_workers = 3;
-  sim_config.training.max_updates = 20;
-  sim_config.training.accuracy_threshold = -1.0;
-  sim_config.training.seed = 11;
+  RunConfig sim_config;
+  sim_config.run.batch_size = 8;
+  sim_config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  sim_config.run.dataset = SpecForDataset("cifar10");
+  sim_config.sim.eval_every = 25;
+  sim_config.run.num_workers = 3;
+  sim_config.sim.max_updates = 20;
+  sim_config.sim.accuracy_threshold = -1.0;
+  sim_config.run.seed = 11;
   sim_config.strategy.kind = StrategyKind::kPReduceConst;
   sim_config.strategy.group_size = 2;
-  SimRunResult sim_run = RunExperiment(sim_config);
+  SimRunResult sim_run = StartRun(sim_config, EngineKind::kSim).sim;
 
   for (const char* name :
        {"transport.bytes_sent", "transport.bytes_received",
@@ -229,7 +233,7 @@ TEST(SocketFabricTest, ConSharedFamiliesPresentInSimToo) {
 TEST(SocketFabricTest, AllReduceIsBitwiseIdenticalAndZeroCopy) {
   const RunConfig config = SmallConfig(StrategyKind::kAllReduce);
   ThreadedRunResult socket_run = RunOverSockets(config);
-  ThreadedRunResult inproc_run = RunThreaded(config);
+  ThreadedRunResult inproc_run = StartRun(config).threaded;
 
   // All-Reduce is deterministic (no timing-dependent grouping), so moving
   // the bytes through sockets must change nothing at all.

@@ -2,44 +2,52 @@
 
 #include <cmath>
 
-#include "train/experiment.h"
+#include "strategies/strategy.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
 
+SimRunResult RunSim(const RunConfig& config) {
+  return StartRun(config, EngineKind::kSim).sim;
+}
+
 /// Small, fast configuration shared across strategy tests.
-ExperimentConfig SmallConfig(StrategyKind kind) {
-  ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 16;
+RunConfig SmallConfig(StrategyKind kind) {
+  RunConfig config;
+  config.run.num_workers = 4;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 16;
   SyntheticSpec spec;
   spec.num_train = 1024;
   spec.num_test = 512;
   spec.dim = 16;
   spec.num_classes = 4;
   spec.separation = 3.0;
-  config.training.custom_dataset = spec;
-  config.training.paper_model = "resnet18";
-  config.training.accuracy_threshold = 0.9;
-  config.training.max_updates = 6000;
-  config.training.eval_every = 20;
-  config.training.seed = 3;
+  config.run.dataset = spec;
+  config.sim.paper_model = "resnet18";
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 6000;
+  config.sim.eval_every = 20;
+  config.run.seed = 3;
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
   config.strategy.backup_workers = 1;
   return config;
 }
 
-ExperimentConfig TimingConfig(StrategyKind kind, int n,
-                              const HeteroSpec& hetero, size_t updates) {
-  ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.timing_only = true;
-  config.training.timing_updates = updates;
-  config.training.hetero = hetero;
-  config.training.paper_model = "resnet34";
-  config.training.seed = 7;
+RunConfig TimingConfig(StrategyKind kind, int n,
+                       const HeteroSpec& hetero, size_t updates) {
+  RunConfig config;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.run.num_workers = n;
+  config.sim.timing_only = true;
+  config.sim.max_updates = updates;
+  config.sim.hetero = hetero;
+  config.sim.paper_model = "resnet34";
+  config.run.seed = 7;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   config.strategy.backup_workers = n / 4 + 1;
@@ -49,8 +57,8 @@ ExperimentConfig TimingConfig(StrategyKind kind, int n,
 class AllStrategiesTest : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(AllStrategiesTest, ConvergesToThresholdOrReportsHonestly) {
-  ExperimentConfig config = SmallConfig(GetParam());
-  SimRunResult result = RunExperiment(config);
+  RunConfig config = SmallConfig(GetParam());
+  SimRunResult result = RunSim(config);
   EXPECT_GT(result.updates, 0u);
   EXPECT_GT(result.sim_seconds, 0.0);
   // Every strategy except Eager-Reduce should reach 90% on this easy task.
@@ -64,10 +72,10 @@ TEST_P(AllStrategiesTest, ConvergesToThresholdOrReportsHonestly) {
 
 TEST_P(AllStrategiesTest, DeterministicInSeed) {
   // Timing-only runs are cheap; determinism must hold bit-for-bit.
-  ExperimentConfig config =
+  RunConfig config =
       TimingConfig(GetParam(), 4, HeteroSpec::Production(), 200);
-  SimRunResult a = RunExperiment(config);
-  SimRunResult b = RunExperiment(config);
+  SimRunResult a = RunSim(config);
+  SimRunResult b = RunSim(config);
   EXPECT_EQ(a.sim_seconds, b.sim_seconds);
   EXPECT_EQ(a.updates, b.updates);
 }
@@ -105,18 +113,18 @@ TEST(StrategyNamesTest, AllDistinct) {
 
 TEST(AllReduceSemanticsTest, RoundTimeTracksSlowestWorker) {
   // Under GPU sharing (HL=2) the straggler sets the AR round time.
-  auto hom = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 4,
-                                        HeteroSpec::Homogeneous(), 200));
-  auto het = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 4,
-                                        HeteroSpec::GpuSharing(2), 200));
+  auto hom = RunSim(TimingConfig(StrategyKind::kAllReduce, 4,
+                                 HeteroSpec::Homogeneous(), 200));
+  auto het = RunSim(TimingConfig(StrategyKind::kAllReduce, 4,
+                                 HeteroSpec::GpuSharing(2), 200));
   EXPECT_GT(het.per_update_seconds, 1.5 * hom.per_update_seconds);
 }
 
 TEST(PReduceSemanticsTest, LessSensitiveToStragglersThanAllReduce) {
-  auto ar_h = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 8,
-                                         HeteroSpec::GpuSharing(3), 400));
-  auto pr_h = RunExperiment(TimingConfig(StrategyKind::kPReduceConst, 8,
-                                         HeteroSpec::GpuSharing(3), 400));
+  auto ar_h = RunSim(TimingConfig(StrategyKind::kAllReduce, 8,
+                                  HeteroSpec::GpuSharing(3), 400));
+  auto pr_h = RunSim(TimingConfig(StrategyKind::kPReduceConst, 8,
+                                  HeteroSpec::GpuSharing(3), 400));
   // Normalize per-update times by gradients incorporated per update:
   // AR incorporates N per update, P-Reduce incorporates P.
   const double ar_per_grad = ar_h.per_update_seconds / 8.0;
@@ -125,10 +133,10 @@ TEST(PReduceSemanticsTest, LessSensitiveToStragglersThanAllReduce) {
 }
 
 TEST(PReduceSemanticsTest, IdleFractionFarBelowAllReduce) {
-  auto ar = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 8,
-                                       HeteroSpec::GpuSharing(3), 300));
-  auto pred = RunExperiment(TimingConfig(StrategyKind::kPReduceConst, 8,
-                                         HeteroSpec::GpuSharing(3), 300));
+  auto ar = RunSim(TimingConfig(StrategyKind::kAllReduce, 8,
+                                HeteroSpec::GpuSharing(3), 300));
+  auto pred = RunSim(TimingConfig(StrategyKind::kPReduceConst, 8,
+                                  HeteroSpec::GpuSharing(3), 300));
   EXPECT_LT(pred.mean_idle_fraction, ar.mean_idle_fraction);
 }
 
@@ -141,29 +149,29 @@ TEST(PReduceSemanticsTest, UpdateCadenceScalesWithGroupSize) {
   auto p4 = TimingConfig(StrategyKind::kPReduceConst, 8,
                          HeteroSpec::Homogeneous(), 400);
   p4.strategy.group_size = 4;
-  auto r2 = RunExperiment(p2);
-  auto r4 = RunExperiment(p4);
+  auto r2 = RunSim(p2);
+  auto r4 = RunSim(p4);
   EXPECT_GT(r4.per_update_seconds, 1.5 * r2.per_update_seconds);
 }
 
 TEST(MomentumAveragingTest, ConvergesWithMergedOptimizerState) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   config.strategy.average_momentum = true;
-  SimRunResult result = RunExperiment(config);
+  SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(MomentumAveragingTest, ChangesTrajectory) {
   // Same seed, with vs without momentum merging: trajectories must differ
   // (the knob is actually wired through).
-  ExperimentConfig base = SmallConfig(StrategyKind::kPReduceConst);
-  base.training.accuracy_threshold = -1.0;
-  base.training.max_updates = 60;
-  ExperimentConfig merged = base;
+  RunConfig base = SmallConfig(StrategyKind::kPReduceConst);
+  base.sim.accuracy_threshold = -1.0;
+  base.sim.max_updates = 60;
+  RunConfig merged = base;
   merged.strategy.average_momentum = true;
-  SimTraining a(base.training), b(merged.training);
-  auto sa = MakeStrategy(base.strategy, &a);
-  auto sb = MakeStrategy(merged.strategy, &b);
+  SimTraining a(base), b(merged);
+  auto sa = MakeStrategy(&a);
+  auto sb = MakeStrategy(&b);
   sa->Start();
   sb->Start();
   a.engine()->RunUntil([&] { return a.stopped(); });
@@ -172,42 +180,42 @@ TEST(MomentumAveragingTest, ChangesTrajectory) {
 }
 
 TEST(ElasticMembershipTest, LeaveAndRejoinKeepsTrainingConverging) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
-  config.training.num_workers = 6;
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  config.run.num_workers = 6;
   config.strategy.group_size = 2;
   // Worker 5 leaves early and rejoins later with its (stale) model.
   config.strategy.churn = {{2.0, 5, /*leave=*/true},
                            {30.0, 5, /*leave=*/false}};
-  SimRunResult result = RunExperiment(config);
+  SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
 }
 
 TEST(ElasticMembershipTest, PermanentDeparturesStillConverge) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
-  config.training.num_workers = 6;
+  RunConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
+  config.run.num_workers = 6;
   config.strategy.group_size = 2;
   config.strategy.churn = {{1.0, 4, true}, {3.0, 5, true}};
-  SimRunResult result = RunExperiment(config);
+  SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(ElasticMembershipTest, TimingOnlyChurnKeepsCadence) {
-  ExperimentConfig config =
+  RunConfig config =
       TimingConfig(StrategyKind::kPReduceConst, 6, HeteroSpec::Homogeneous(),
                    400);
   config.strategy.group_size = 2;
   config.strategy.churn = {{10.0, 0, true}, {40.0, 0, false}};
-  SimRunResult result = RunExperiment(config);
+  SimRunResult result = RunSim(config);
   EXPECT_EQ(result.updates, 400u);
 }
 
 TEST(OverlapSemanticsTest, OverlapSpeedsUpAllReduceOnly) {
   auto run = [](StrategyKind kind, double overlap) {
-    ExperimentConfig config =
+    RunConfig config =
         TimingConfig(kind, 8, HeteroSpec::Homogeneous(), 200);
-    config.training.paper_model = "vgg19";  // comm-heavy
-    config.training.cost.gradient_overlap = overlap;
-    return RunExperiment(config).sim_seconds;
+    config.sim.paper_model = "vgg19";  // comm-heavy
+    config.sim.cost.gradient_overlap = overlap;
+    return RunSim(config).sim_seconds;
   };
   // AR aggregates gradients: overlap hides most of its collective.
   EXPECT_LT(run(StrategyKind::kAllReduce, 0.9),
@@ -218,8 +226,8 @@ TEST(OverlapSemanticsTest, OverlapSpeedsUpAllReduceOnly) {
 }
 
 TEST(PsBackupSemanticsTest, DropsStragglerGradients) {
-  auto result = RunExperiment(TimingConfig(StrategyKind::kPsBackup, 8,
-                                           HeteroSpec::GpuSharing(3), 400));
+  auto result = RunSim(TimingConfig(StrategyKind::kPsBackup, 8,
+                                    HeteroSpec::GpuSharing(3), 400));
   EXPECT_GT(result.wasted_gradients, 0u);
 }
 
@@ -227,7 +235,7 @@ TEST(PsBackupSemanticsTest, NoWasteWithoutBackupsInHomogeneousCluster) {
   auto config = TimingConfig(StrategyKind::kPsBackup, 4,
                              HeteroSpec::Homogeneous(), 200);
   config.strategy.backup_workers = 0;
-  auto result = RunExperiment(config);
+  auto result = RunSim(config);
   EXPECT_EQ(result.wasted_gradients, 0u);
 }
 
@@ -235,7 +243,7 @@ TEST(PReduceSemanticsTest, FrozenAvoidanceStatsSurface) {
   auto config = TimingConfig(StrategyKind::kPReduceConst, 4,
                              HeteroSpec::Homogeneous(), 500);
   config.strategy.group_size = 2;
-  auto result = RunExperiment(config);
+  auto result = RunSim(config);
   // Stats plumbed through (bridging may or may not trigger here; the
   // adversarial case is covered in controller_test).
   EXPECT_GE(result.frozen_detections, 0u);
@@ -251,8 +259,8 @@ TEST(StatisticalSemanticsTest, AsyncNeedsMoreUpdatesThanBsp) {
   // gradient counts to convergence: ASP >= BSP's N * rounds is not
   // guaranteed on an easy task, but ASP should need at least as many
   // gradients.
-  auto bsp = RunExperiment(SmallConfig(StrategyKind::kPsBsp));
-  auto asp = RunExperiment(SmallConfig(StrategyKind::kPsAsp));
+  auto bsp = RunSim(SmallConfig(StrategyKind::kPsBsp));
+  auto asp = RunSim(SmallConfig(StrategyKind::kPsAsp));
   ASSERT_TRUE(bsp.converged);
   ASSERT_TRUE(asp.converged);
   // ASP counts one update per worker push; BSP one per N-gradient round.
@@ -260,17 +268,17 @@ TEST(StatisticalSemanticsTest, AsyncNeedsMoreUpdatesThanBsp) {
 }
 
 TEST(StatisticalSemanticsTest, EagerReducePlateausBelowStrictThreshold) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kEagerReduce);
-  config.training.hetero = HeteroSpec::GpuSharing(2);
-  config.training.accuracy_threshold = 0.93;
-  config.training.max_updates = 4000;
-  auto er = RunExperiment(config);
+  RunConfig config = SmallConfig(StrategyKind::kEagerReduce);
+  config.sim.hetero = HeteroSpec::GpuSharing(2);
+  config.sim.accuracy_threshold = 0.93;
+  config.sim.max_updates = 4000;
+  auto er = RunSim(config);
 
-  ExperimentConfig ar_config = SmallConfig(StrategyKind::kAllReduce);
-  ar_config.training.hetero = HeteroSpec::GpuSharing(2);
-  ar_config.training.accuracy_threshold = 0.93;
-  ar_config.training.max_updates = 4000;
-  auto ar = RunExperiment(ar_config);
+  RunConfig ar_config = SmallConfig(StrategyKind::kAllReduce);
+  ar_config.sim.hetero = HeteroSpec::GpuSharing(2);
+  ar_config.sim.accuracy_threshold = 0.93;
+  ar_config.sim.max_updates = 4000;
+  auto ar = RunSim(ar_config);
 
   EXPECT_TRUE(ar.converged);
   EXPECT_LT(er.best_accuracy, ar.best_accuracy + 1e-9);
@@ -279,7 +287,7 @@ TEST(StatisticalSemanticsTest, EagerReducePlateausBelowStrictThreshold) {
 TEST(StatisticalSemanticsTest, PReduceReplicasReachConsensusAccuracy) {
   // After convergence, the averaged model must actually be good — the
   // consensus across replicas is what Alg. 2 line 8 evaluates.
-  auto result = RunExperiment(SmallConfig(StrategyKind::kPReduceConst));
+  auto result = RunSim(SmallConfig(StrategyKind::kPReduceConst));
   ASSERT_TRUE(result.converged);
   EXPECT_GE(result.final_accuracy, 0.9);
 }
@@ -291,15 +299,15 @@ TEST(StatisticalSemanticsTest, DynamicWeightsHelpUnderSevereStaleness) {
   severe.kind = HeteroSpec::Kind::kGpuSharing;
   severe.sharing_level = 2;
 
-  ExperimentConfig con = SmallConfig(StrategyKind::kPReduceConst);
-  con.training.hetero = severe;
-  con.training.seed = 13;
-  ExperimentConfig dyn = SmallConfig(StrategyKind::kPReduceDynamic);
-  dyn.training.hetero = severe;
-  dyn.training.seed = 13;
+  RunConfig con = SmallConfig(StrategyKind::kPReduceConst);
+  con.sim.hetero = severe;
+  con.run.seed = 13;
+  RunConfig dyn = SmallConfig(StrategyKind::kPReduceDynamic);
+  dyn.sim.hetero = severe;
+  dyn.run.seed = 13;
 
-  auto rc = RunExperiment(con);
-  auto rd = RunExperiment(dyn);
+  auto rc = RunSim(con);
+  auto rd = RunSim(dyn);
   ASSERT_TRUE(rc.converged);
   ASSERT_TRUE(rd.converged);
   // The effect is statistical at this tiny scale; assert DYN stays in the
@@ -313,11 +321,11 @@ TEST(StatisticalSemanticsTest, AllReduceMatchesSequentialLargeBatchSgd) {
   // AR with N workers is equivalent to one worker with an N-fold batch: all
   // replicas stay identical. Verify replicas remain equal by checking the
   // evaluated accuracy equals a single replica's accuracy.
-  ExperimentConfig config = SmallConfig(StrategyKind::kAllReduce);
-  config.training.max_updates = 50;
-  config.training.accuracy_threshold = -1.0;
-  SimTraining ctx(config.training);
-  auto strategy = MakeStrategy(config.strategy, &ctx);
+  RunConfig config = SmallConfig(StrategyKind::kAllReduce);
+  config.sim.max_updates = 50;
+  config.sim.accuracy_threshold = -1.0;
+  SimTraining ctx(config);
+  auto strategy = MakeStrategy(&ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
   for (int w = 1; w < 4; ++w) {
@@ -326,12 +334,12 @@ TEST(StatisticalSemanticsTest, AllReduceMatchesSequentialLargeBatchSgd) {
 }
 
 TEST(StatisticalSemanticsTest, PReduceGroupMembersLeaveWithEqualModels) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   config.strategy.group_size = 4;  // P = N: every reduce merges everyone
-  config.training.max_updates = 9;
-  config.training.accuracy_threshold = -1.0;
-  SimTraining ctx(config.training);
-  auto strategy = MakeStrategy(config.strategy, &ctx);
+  config.sim.max_updates = 9;
+  config.sim.accuracy_threshold = -1.0;
+  SimTraining ctx(config);
+  auto strategy = MakeStrategy(&ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
   // With P = N the last completed reduce synchronized all replicas; any
@@ -355,14 +363,14 @@ TEST(StatisticalSemanticsTest, PsHeteDampsStaleUpdates) {
   // the threshold in no more updates than ASP, seed-for-seed, on average.
   int hete_wins = 0;
   for (uint64_t seed : {3u, 4u, 5u}) {
-    ExperimentConfig asp = SmallConfig(StrategyKind::kPsAsp);
-    asp.training.hetero = HeteroSpec::GpuSharing(2);
-    asp.training.seed = seed;
-    ExperimentConfig hete = SmallConfig(StrategyKind::kPsHete);
-    hete.training.hetero = HeteroSpec::GpuSharing(2);
-    hete.training.seed = seed;
-    auto ra = RunExperiment(asp);
-    auto rh = RunExperiment(hete);
+    RunConfig asp = SmallConfig(StrategyKind::kPsAsp);
+    asp.sim.hetero = HeteroSpec::GpuSharing(2);
+    asp.run.seed = seed;
+    RunConfig hete = SmallConfig(StrategyKind::kPsHete);
+    hete.sim.hetero = HeteroSpec::GpuSharing(2);
+    hete.run.seed = seed;
+    auto ra = RunSim(asp);
+    auto rh = RunSim(hete);
     if (rh.converged &&
         (!ra.converged || rh.updates <= ra.updates * 12 / 10)) {
       ++hete_wins;

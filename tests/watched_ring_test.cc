@@ -19,6 +19,7 @@
 #include "runtime/threaded_runtime.h"
 #include "runtime/threaded_strategy.h"
 #include "runtime/worker_runtime.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -194,14 +195,14 @@ TEST(WatchedRingTest, ForcedFaultToleranceKeepsPayloadCopiesPerGroup) {
   config.run.dataset.dim = 16;
   config.run.dataset.num_classes = 4;
   config.run.seed = 9;
-  const ThreadedRunResult plain = RunThreaded(config);
+  const ThreadedRunResult plain = StartRun(config).threaded;
   config.run.fault.force_fault_tolerant = true;
   // Armed, but with valves no healthy run reaches even on a loaded host: an
   // aborted and retried group is legitimate and would skew the ratio.
   config.run.fault.lease_seconds = 10.0;
   config.run.fault.max_reduce_stall_seconds = 10.0;
   config.run.fault.stuck_report_ticks = 0;
-  const ThreadedRunResult forced = RunThreaded(config);
+  const ThreadedRunResult forced = StartRun(config).threaded;
   ASSERT_EQ(forced.metrics.counter("fault.aborted_groups"), 0.0);
 
   ASSERT_GT(plain.group_reduces, 0u);

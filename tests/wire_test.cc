@@ -263,19 +263,39 @@ TEST(WireTest, UnknownEncodingTagIsCorrupt) {
   EXPECT_EQ(error, "bad payload encoding");
 }
 
+TEST(WireTest, RetiredTopKTagIsCorrupt) {
+  // Tag 3 carried top-k blobs; the codec is gone, so a peer still sending it
+  // must fail loudly rather than have its payload misdecoded.
+  Envelope env = MakeEnvelope(/*from=*/0, /*tag=*/1, /*kind=*/3, {}, {1.0f});
+  std::vector<uint8_t> frame = EncodeFrame(/*to=*/1, env);
+  frame[5] = 3;
+  NodeId to = -1;
+  Envelope decoded;
+  size_t consumed = 0;
+  std::string error;
+  EXPECT_EQ(DecodeFrame(frame.data(), frame.size(), &to, &decoded, &consumed,
+                        &error),
+            WireDecode::kCorrupt);
+  EXPECT_EQ(error, "bad payload encoding");
+  std::vector<float> out;
+  EXPECT_FALSE(DecodeTaggedPayload(3, Buffer::FromVector({1.0f}), &out).ok());
+  CompressionKind parsed = CompressionKind::kNone;
+  EXPECT_FALSE(ParseCompressionKind("topk", &parsed));
+}
+
 TEST(WireTest, EncodingTagSurvivesFdRoundTrip) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   Envelope env = MakeEnvelope(/*from=*/7, /*tag=*/21, /*kind=*/109, {3},
                               {4.0f, 5.0f});
-  env.encoding = static_cast<uint8_t>(CompressionKind::kTopK);
+  env.encoding = static_cast<uint8_t>(CompressionKind::kInt8);
   ASSERT_TRUE(WriteFrameFd(fds[1], /*to=*/2, env).ok());
   ::close(fds[1]);
 
   NodeId to = -1;
   Envelope decoded;
   ASSERT_TRUE(ReadFrameFd(fds[0], &to, &decoded).ok());
-  EXPECT_EQ(decoded.encoding, static_cast<uint8_t>(CompressionKind::kTopK));
+  EXPECT_EQ(decoded.encoding, static_cast<uint8_t>(CompressionKind::kInt8));
   ExpectBitIdentical(env, decoded);
   ::close(fds[0]);
 }
