@@ -28,10 +28,12 @@ pr::SimRunResult Run(bool with_churn, pr::StrategyKind kind) {
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   if (with_churn) {
-    config.strategy.churn = {
-        {5.0, 6, /*leave=*/true},    // preemption
-        {8.0, 7, /*leave=*/true},    // second preemption
-        {40.0, 6, /*leave=*/false},  // worker 6 comes back, model ~stale
+    // Windows fire after the worker's n-th local iteration (~0.22 s each
+    // on the fast workers). Worker 6 comes back 10 s later, model ~stale;
+    // worker 7's pause outlasts the run.
+    config.run.churn = {
+        {/*worker=*/6, /*after_iterations=*/22, /*pause_seconds=*/10.0},
+        {/*worker=*/7, /*after_iterations=*/37, /*pause_seconds=*/1e6},
     };
   }
   return pr::StartRun(config, pr::EngineKind::kSim).sim;
@@ -41,8 +43,9 @@ pr::SimRunResult Run(bool with_churn, pr::StrategyKind kind) {
 
 int main() {
   std::printf(
-      "Elastic membership under P-Reduce: workers 6 and 7 are preempted at\n"
-      "t=5s and t=8s; worker 6 rejoins at t=40s with its stale model.\n"
+      "Elastic membership under P-Reduce: workers 6 and 7 are preempted after\n"
+      "22 and 37 local iterations (about t=5s and t=8s); worker 6 rejoins\n"
+      "10s later (t=15s) with its stale model.\n"
       "N=8, P=3, GPU-sharing heterogeneity, threshold 85%%.\n\n");
 
   pr::TablePrinter table({"scenario", "run time (s)", "#updates",

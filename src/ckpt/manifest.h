@@ -37,8 +37,9 @@ struct RunManifest {
   int num_workers = 0;
   uint64_t num_params = 0;
   uint64_t seed = 0;
-  /// Checkpoint index: k / every_iterations (threaded) or updates /
-  /// every_updates (sim). Strictly increasing within one run.
+  /// Checkpoint index: k / every_iterations (threaded) or updates / the
+  /// simulator's update period (see CheckpointConfig). Strictly increasing
+  /// within one run.
   uint64_t epoch = 0;
   /// Global updates (group reduces / rounds) performed at the cut.
   uint64_t updates_done = 0;

@@ -36,14 +36,17 @@ enum class StrategyKind {
 /// Short display name matching the paper's tables ("AR", "CON", ...).
 std::string StrategyKindName(StrategyKind kind);
 
-/// \brief A membership change during a simulated P-Reduce run (elastic
-/// training): the worker stops participating after its in-flight iteration
-/// (leave) or resumes with whatever parameters it last held (join).
-struct ChurnEvent {
-  double time = 0.0;
-  int worker = -1;
-  bool leave = true;  ///< false = rejoin
-};
+/// The partial-reduce kinds (CON, DYN).
+inline bool IsPReduce(StrategyKind kind) {
+  return kind == StrategyKind::kPReduceConst ||
+         kind == StrategyKind::kPReduceDynamic;
+}
+
+/// The parameter-server family (PS-BSP, PS-ASP, PS-HETE, PS-BK).
+inline bool IsPsFamily(StrategyKind kind) {
+  return kind == StrategyKind::kPsBsp || kind == StrategyKind::kPsAsp ||
+         kind == StrategyKind::kPsHete || kind == StrategyKind::kPsBackup;
+}
 
 /// \brief Strategy-specific knobs.
 struct StrategyOptions {
@@ -62,9 +65,6 @@ struct StrategyOptions {
   size_t history_window = 0;
   /// Record W_k matrices for spectral diagnostics (small N only).
   bool record_sync_matrices = false;
-  /// Elastic membership schedule (P-Reduce only). The active worker count
-  /// must never drop below group_size.
-  std::vector<ChurnEvent> churn;
   /// P-Reduce ablation: also average the members' momentum buffers during
   /// a group reduce. The paper's prototype averages only parameters
   /// (momentum stays local); merging optimizer state is the natural
@@ -101,16 +101,6 @@ enum class EngineKind {
 class RunControl;
 class WorkerLauncher;
 
-/// \brief Elastic membership on real threads (P-Reduce only): the worker
-/// Leaves the pool after completing `after_iterations` local iterations,
-/// sleeps for `pause_seconds`, then Rejoins and finishes its budget —
-/// exercising Controller::NotifyWorkerRejoined through the transport path.
-struct ThreadedChurnEvent {
-  int worker = -1;
-  size_t after_iterations = 0;
-  double pause_seconds = 0.01;
-};
-
 /// \brief How to run: the cluster, the model and data, and the run's budget
 /// and schedules, read by both engines.
 ///
@@ -119,8 +109,7 @@ struct ThreadedChurnEvent {
 /// and data shard; the strategy's central state (P-Reduce controller, PS/ER
 /// server), when it has any, lives on a dedicated service thread; the data
 /// plane runs collectives over the in-process transport. The simulator
-/// trains the same model on the same data under virtual time; fields it
-/// cannot honour are noted per field.
+/// trains the same model on the same data under virtual time.
 struct ThreadedRunOptions {
   int num_workers = 4;
   /// Local iterations per worker (each ends with one synchronization step
@@ -137,14 +126,16 @@ struct ThreadedRunOptions {
   /// Both engines generate the data from `seed`, not `dataset.seed`.
   SyntheticSpec dataset;
 
-  /// Injected per-iteration sleep per worker (seconds); empty = no sleeps.
-  /// Threaded only: the simulator draws compute times from
-  /// `SimOptions::hetero`.
+  /// Injected per-iteration compute delay per worker (seconds); empty = no
+  /// delay, otherwise one entry per worker. Threads sleep it after each
+  /// gradient; the simulator adds it to the virtual compute time drawn
+  /// from `SimOptions::hetero`. Active slowdown faults scale it on both.
   std::vector<double> worker_delay_seconds;
 
-  /// Elastic membership schedule (P-Reduce kinds only; threaded only — the
-  /// simulator's time-keyed schedule is StrategyOptions::churn).
-  std::vector<ThreadedChurnEvent> churn;
+  /// Elastic membership schedule (P-Reduce kinds only): each event pauses
+  /// its worker at a gradient boundary, keyed by completed local iterations
+  /// (see ChurnEvent).
+  std::vector<ChurnEvent> churn;
 
   /// Fault-injection schedule (P-Reduce kinds only): per-edge message
   /// drop/dup/delay via a FaultyTransport wrapped around the in-proc
@@ -167,21 +158,20 @@ struct ThreadedRunOptions {
   Topology topology;
 
   /// Coordinated checkpointing (P-Reduce kinds and All-Reduce): every
-  /// `ckpt.every_iterations` local iterations (threaded) or
-  /// `ckpt.every_updates` global updates (simulator) each replica and its
+  /// `ckpt.every_iterations` local iterations each replica and its
   /// optimizer state are snapshotted into a shard and a manifest is written
-  /// once every live worker has reported the epoch. A run killed after a
-  /// manifest lands resumes via ResumeRun. Disabled by default; the
+  /// once every live worker has reported the epoch (see CheckpointConfig for
+  /// how the simulator maps the period onto global updates). A run killed
+  /// after a manifest lands resumes via ResumeRun. Disabled by default; the
   /// simulator refuses it in timing-only mode.
   CheckpointConfig ckpt;
 
   /// Trace-driven chaos scenario (P-Reduce kinds only). A non-empty
   /// scenario is compiled at run start (CompileScenario) and *merged* into
   /// `fault` and the churn schedule: crash/hang/slowdown events become
-  /// iteration-keyed fault events, depart/arrive windows become churn
-  /// events (virtual-time leave/rejoin pairs on the simulator), and
-  /// partitions are applied on the run's clock. The compiled scenario.*
-  /// counters register under the same names on both engines.
+  /// iteration-keyed fault events, depart/arrive windows are appended to
+  /// `churn`, and partitions are applied on the run's clock. The compiled
+  /// scenario.* counters register under the same names on both engines.
   ScenarioSpec scenario;
 
   /// Record a per-worker activity timeline (compute/comm/idle intervals,

@@ -249,14 +249,13 @@ std::string SerializeRunConfig(const RunConfig& config) {
   out << "run.dataset.seed " << r.dataset.seed << "\n";
 
   for (double d : r.worker_delay_seconds) out << "run.delay " << Num(d) << "\n";
-  for (const ThreadedChurnEvent& e : r.churn) {
+  for (const ChurnEvent& e : r.churn) {
     out << "run.churn " << e.worker << " " << e.after_iterations << " "
         << Num(e.pause_seconds) << "\n";
   }
 
   if (!r.ckpt.dir.empty()) out << "run.ckpt.dir " << r.ckpt.dir << "\n";
   out << "run.ckpt.every_iterations " << r.ckpt.every_iterations << "\n";
-  out << "run.ckpt.every_updates " << r.ckpt.every_updates << "\n";
 
   // Flat (default) topologies emit nothing: a pre-topology config and a flat
   // config are byte-identical.
@@ -505,7 +504,7 @@ Status ParseRunConfig(const std::string& text, RunConfig* out) {
       saw_delay = true;
       r.worker_delay_seconds.push_back(d);
     } else if (key == "run.churn") {
-      ThreadedChurnEvent e;
+      ChurnEvent e;
       PR_RETURN_NOT_OK(p.TakeInt(&i64));
       e.worker = static_cast<int>(i64);
       PR_RETURN_NOT_OK(p.TakeUInt(&u64));
@@ -520,9 +519,6 @@ Status ParseRunConfig(const std::string& text, RunConfig* out) {
     } else if (key == "run.ckpt.every_iterations") {
       PR_RETURN_NOT_OK(p.TakeUInt(&u64));
       r.ckpt.every_iterations = u64;
-    } else if (key == "run.ckpt.every_updates") {
-      PR_RETURN_NOT_OK(p.TakeUInt(&u64));
-      r.ckpt.every_updates = u64;
     } else if (key == "fault.seed") {
       PR_RETURN_NOT_OK(p.TakeUInt(&f.seed));
     } else if (key == "fault.force_fault_tolerant") {

@@ -31,9 +31,7 @@ bool MultiProcessSupported(StrategyKind kind) {
   // which is exactly the evaluation rule for the decentralized collectives.
   // Centralized strategies (PS family, ER's server-held model) and AD-PSGD's
   // gossip pairing would need their own merge rules — not implemented.
-  return kind == StrategyKind::kAllReduce ||
-         kind == StrategyKind::kPReduceConst ||
-         kind == StrategyKind::kPReduceDynamic;
+  return kind == StrategyKind::kAllReduce || IsPReduce(kind);
 }
 
 double NowSeconds() {
@@ -66,7 +64,7 @@ Status Launch(const LaunchOptions& options, LaunchResult* result) {
     // (leases, eviction, abort/retry) survive one.
     config.run.fault.force_fault_tolerant = true;
   }
-  ValidateRunConfig(config);
+  PR_RETURN_NOT_OK(ValidateRunConfig(config));
   const int num_workers = config.run.num_workers;
   const bool has_service = StrategyHasService(config);
   const int num_processes = num_workers + (has_service ? 1 : 0);

@@ -26,7 +26,7 @@ Status RunNode(const NodeRunOptions& options) {
                                    " out of range for " +
                                    std::to_string(num_workers) + " workers");
   }
-  ValidateRunConfig(config);
+  PR_RETURN_NOT_OK(ValidateRunConfig(config));
   std::unique_ptr<ThreadedStrategy> strategy =
       MakeThreadedStrategy(config.strategy);
   const bool is_service = options.node == num_workers;

@@ -172,8 +172,7 @@ class ThreadedPReduce : public ThreadedStrategy {
  public:
   explicit ThreadedPReduce(const StrategyOptions& options)
       : options_(options) {
-    PR_CHECK(options.kind == StrategyKind::kPReduceConst ||
-             options.kind == StrategyKind::kPReduceDynamic);
+    PR_CHECK(IsPReduce(options.kind));
     PR_CHECK_GE(options.group_size, 2);
   }
 
@@ -861,12 +860,12 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // to a window at iteration 0 — served before the first local step.
   // Control sends are best-effort throughout: a failed send can mean a
   // controller outage, not shutdown, and the protocol tolerates the loss.
-  std::vector<ThreadedChurnEvent> churns;
-  for (const ThreadedChurnEvent& c : run.churn) {
+  std::vector<ChurnEvent> churns;
+  for (const ChurnEvent& c : run.churn) {
     if (c.worker == ctx->worker()) churns.push_back(c);
   }
   std::sort(churns.begin(), churns.end(),
-            [](const ThreadedChurnEvent& a, const ThreadedChurnEvent& b) {
+            [](const ChurnEvent& a, const ChurnEvent& b) {
               return a.after_iterations < b.after_iterations;
             });
   size_t next_churn = 0;

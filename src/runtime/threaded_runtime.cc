@@ -1,50 +1,55 @@
 #include "runtime/threaded_runtime.h"
 
-#include "common/check.h"
+#include <string>
+#include <utility>
 
 namespace pr {
-namespace {
 
-bool IsPsFamily(StrategyKind kind) {
-  return kind == StrategyKind::kPsBsp || kind == StrategyKind::kPsAsp ||
-         kind == StrategyKind::kPsHete || kind == StrategyKind::kPsBackup;
-}
-
-bool IsPReduce(StrategyKind kind) {
-  return kind == StrategyKind::kPReduceConst ||
-         kind == StrategyKind::kPReduceDynamic;
-}
-
-}  // namespace
-
-void ValidateRunConfig(const RunConfig& config, EngineKind engine) {
+Status ValidateRunConfig(const RunConfig& config, EngineKind engine) {
   const StrategyOptions& strategy = config.strategy;
-  const ThreadedRunOptions& options = config.run;
+  const ThreadedRunOptions& run = config.run;
+  const int n = run.num_workers;
+  const bool p_reduce = IsPReduce(strategy.kind);
   // Centralized PS training degenerates gracefully to one worker; every
   // collective/gossip scheme needs a counterpart on real threads.
-  PR_CHECK_GE(options.num_workers,
-              IsPsFamily(strategy.kind) || engine == EngineKind::kSim ? 1 : 2);
-  if (IsPReduce(strategy.kind)) {
-    PR_CHECK_GE(strategy.group_size, 2);
-    PR_CHECK_LE(strategy.group_size, options.num_workers);
+  const int min_workers =
+      IsPsFamily(strategy.kind) || engine == EngineKind::kSim ? 1 : 2;
+  const size_t delays = run.worker_delay_seconds.size();
+  const std::pair<bool, std::string> rules[] = {
+      {n < min_workers, StrategyKindName(strategy.kind) + " needs at least " +
+                            std::to_string(min_workers) + " workers"},
+      {p_reduce && (strategy.group_size < 2 || strategy.group_size > n),
+       "group_size must lie in [2, num_workers]"},
+      {delays != 0 && delays != static_cast<size_t>(n),
+       "worker_delay_seconds has " + std::to_string(delays) +
+           " entries for " + std::to_string(n) + " workers"},
+      {!run.churn.empty() && !p_reduce, "elastic churn is a P-Reduce feature"},
+      {run.fault.enabled() && !p_reduce,
+       "fault plans require the P-Reduce recovery protocol"},
+      {run.ckpt.enabled() && !p_reduce &&
+           strategy.kind != StrategyKind::kAllReduce,
+       "coordinated checkpointing covers P-Reduce and All-Reduce"},
+      {!run.topology.flat() && run.topology.num_workers() != n,
+       "topology places a different worker count than the run"},
+      {strategy.hierarchy.enabled && !p_reduce,
+       "hierarchical two-level scheduling is a P-Reduce feature"},
+      {strategy.hierarchy.enabled && strategy.hierarchy.cross_period < 1,
+       "hierarchy.cross_period must be >= 1"},
+      {!(strategy.group_cost_budget >= 0.0), "group_cost_budget must be >= 0"},
+  };
+  for (const auto& [violated, message] : rules) {
+    if (violated) return Status::InvalidArgument(message);
   }
-  PR_CHECK(options.churn.empty() || IsPReduce(strategy.kind))
-      << "elastic churn is a P-Reduce feature";
-  PR_CHECK(!options.fault.enabled() || IsPReduce(strategy.kind))
-      << "fault plans require the P-Reduce recovery protocol";
-  PR_CHECK(!options.ckpt.enabled() || IsPReduce(strategy.kind) ||
-           strategy.kind == StrategyKind::kAllReduce)
-      << "coordinated checkpointing covers P-Reduce and All-Reduce";
-  if (!options.topology.flat()) {
-    PR_CHECK_EQ(options.topology.num_workers(), options.num_workers)
-        << "topology places a different worker count than the run";
+  for (const ChurnEvent& e : run.churn) {
+    if (e.worker < 0 || e.worker >= n) {
+      return Status::InvalidArgument(
+          "churn worker " + std::to_string(e.worker) + " out of range");
+    }
+    if (!(e.pause_seconds >= 0.0)) {
+      return Status::InvalidArgument("churn pause_seconds must be >= 0");
+    }
   }
-  if (strategy.hierarchy.enabled) {
-    PR_CHECK(IsPReduce(strategy.kind))
-        << "hierarchical two-level scheduling is a P-Reduce feature";
-    PR_CHECK_GE(strategy.hierarchy.cross_period, 1);
-  }
-  PR_CHECK_GE(strategy.group_cost_budget, 0.0);
+  return Status::OK();
 }
 
 std::vector<double> ThreadedRunResult::worker_idle_fraction() const {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "config/run_config.h"
 #include "core/controller.h"
 #include "obs/metrics.h"
@@ -173,14 +174,16 @@ struct ThreadedRunResult {
   std::vector<double> worker_idle_fraction() const;
 };
 
-/// \brief Checks cross-field invariants of a run request (worker counts,
-/// fault / churn / ckpt / hierarchy support per strategy kind). Aborts on
-/// violation. StartRun and ResumeRun call it for both engines; out-of-process
-/// runners (src/launch) call it once before spawning workers so
-/// misconfigurations fail in the parent. The collective worker-count floor
-/// (two workers for every non-PS kind) binds only the threaded engine: a
-/// simulated one-worker ring is the N=1 baseline of the scalability sweep.
-void ValidateRunConfig(const RunConfig& config,
-                       EngineKind engine = EngineKind::kThreaded);
+/// \brief Checks cross-field invariants of a run request for either engine:
+/// worker counts, group size, one delay per worker, churn workers in range
+/// with non-negative pauses, and fault / churn / ckpt / hierarchy support
+/// per strategy kind. Returns InvalidArgument naming the first violation.
+/// StartRun and ResumeRun abort on it; out-of-process runners (src/launch)
+/// and the job service return it before anything starts. The collective
+/// worker-count floor (two workers for every non-PS kind) binds only the
+/// threaded engine: a simulated one-worker ring is the N=1 baseline of the
+/// scalability sweep.
+Status ValidateRunConfig(const RunConfig& config,
+                         EngineKind engine = EngineKind::kThreaded);
 
 }  // namespace pr

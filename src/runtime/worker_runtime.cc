@@ -41,11 +41,7 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
       idle_seconds_counter_(
           metrics_->GetCounter(WorkerMetric(worker, "idle_seconds"))) {
   const auto& delays = runtime->options_.worker_delay_seconds;
-  if (!delays.empty()) {
-    PR_CHECK_EQ(delays.size(),
-                static_cast<size_t>(runtime->options_.num_workers));
-    delay_seconds_ = delays[static_cast<size_t>(worker)];
-  }
+  if (!delays.empty()) delay_seconds_ = delays[static_cast<size_t>(worker)];
   for (const WorkerFaultEvent& e : runtime->options_.fault.worker_events) {
     if (e.worker == worker && e.kind == WorkerFaultEvent::Kind::kSlowdown) {
       slowdown_events_.push_back(e);
@@ -280,13 +276,8 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
     PR_CHECK(s.ok()) << "scenario '" << options_.scenario.name
                      << "': " << s.message();
     options_.fault = std::move(compiled.fault);
-    for (const ChurnWindow& w : compiled.churn) {
-      ThreadedChurnEvent e;
-      e.worker = w.worker;
-      e.after_iterations = static_cast<size_t>(w.after_iterations);
-      e.pause_seconds = w.pause_seconds;
-      options_.churn.push_back(e);
-    }
+    options_.churn.insert(options_.churn.end(), compiled.churn.begin(),
+                          compiled.churn.end());
   }
   if (strategy_options_.scale_policy.enabled()) {
     scale_director_ = std::make_unique<ScaleDirector>(options_.num_workers);

@@ -591,21 +591,20 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
     for (int worker : targets) {
       switch (authored.kind) {
         case ScenarioEventKind::kDepart: {
-          ChurnWindow window;
+          ChurnEvent window;
           window.worker = worker;
-          window.after_iterations = TimeToIteration(authored.time, eis);
+          window.after_iterations =
+              static_cast<size_t>(TimeToIteration(authored.time, eis));
           window.pause_seconds = authored.duration;
-          window.time_seconds = authored.time;
           compiled.churn.push_back(window);
           break;
         }
         case ScenarioEventKind::kArrive: {
           // Absent from the start, joining at `time`.
-          ChurnWindow window;
+          ChurnEvent window;
           window.worker = worker;
           window.after_iterations = 0;
           window.pause_seconds = authored.time;
-          window.time_seconds = 0.0;
           compiled.churn.push_back(window);
           break;
         }
@@ -649,7 +648,7 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
     }
   }
   std::sort(compiled.churn.begin(), compiled.churn.end(),
-            [](const ChurnWindow& a, const ChurnWindow& b) {
+            [](const ChurnEvent& a, const ChurnEvent& b) {
               if (a.worker != b.worker) return a.worker < b.worker;
               return a.after_iterations < b.after_iterations;
             });

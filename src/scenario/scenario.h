@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,11 +15,11 @@ namespace pr {
 /// \brief One timed churn/fault event in a scenario trace.
 ///
 /// Events are expressed in *scenario time* (seconds from run start). The
-/// compiler maps scenario time onto the engines' native clocks: virtual
-/// seconds in the simulator, iteration indices (via
-/// `ScenarioSpec::expected_iteration_seconds`) for iteration-keyed faults in
-/// the threaded engine, and wall-clock offsets for the threaded partition
-/// scheduler. Events target either a single `worker`, or — for the
+/// compiler maps scenario time onto iteration indices (via
+/// `ScenarioSpec::expected_iteration_seconds`) for churn windows and
+/// crash/hang/slowdown faults, which both engines key the same way;
+/// partitions stay timed, on each engine's own clock. Events target either
+/// a single `worker`, or — for the
 /// correlated rack-wide shapes the production traces show — a whole
 /// topology `node` (every worker placed on that node receives the event).
 enum class ScenarioEventKind {
@@ -140,27 +141,30 @@ ScenarioSpec MakeReferenceTrace(int num_workers, const Topology& topology,
 // Compilation: a scenario becomes engine-native event streams.
 // ---------------------------------------------------------------------------
 
-/// One elastic absence window, engine-agnostic: the worker pauses after
-/// `after_iterations` local steps and stays away `pause_seconds`. The
-/// threaded engine converts these to `ThreadedChurnEvent`s; the simulator
-/// converts them to time-keyed leave/rejoin pairs.
-struct ChurnWindow {
+/// \brief One elastic absence window (P-Reduce only), read the same way by
+/// both engines: once `worker` has completed `after_iterations` local
+/// iterations it leaves the pool at that gradient boundary, stays away
+/// `pause_seconds` (wall seconds on threads, virtual seconds in the
+/// simulator), then rejoins with the parameters it last held. Windows at
+/// iteration 0 hold the worker out from the start. `run.churn` holds these;
+/// CompileScenario emits them for depart/arrive events.
+struct ChurnEvent {
   int worker = -1;
-  int after_iterations = 0;
-  double pause_seconds = 0.0;
-  double time_seconds = 0.0;  ///< original scenario time, for virtual clocks
+  size_t after_iterations = 0;
+  double pause_seconds = 0.01;
 };
 
 /// A compiled scenario: everything the engines consume.
 ///
 /// - `fault` carries iteration-keyed crash/hang/slowdown events and timed
 ///   partition windows merged *into* the run's existing fault plan.
-/// - `churn` carries depart/arrive absence windows.
+/// - `churn` carries depart/arrive absence windows; both engines append
+///   them to the run's `run.churn` schedule.
 /// - `counts` are the scenario.* metric values both engines register, in a
 ///   fixed order, so cross-engine metric-name parity is structural.
 struct CompiledScenario {
   FaultPlan fault;
-  std::vector<ChurnWindow> churn;
+  std::vector<ChurnEvent> churn;
   std::vector<std::pair<std::string, double>> counts;
 };
 

@@ -10,16 +10,6 @@
 namespace pr {
 namespace {
 
-bool IsPsFamily(StrategyKind kind) {
-  return kind == StrategyKind::kPsBsp || kind == StrategyKind::kPsAsp ||
-         kind == StrategyKind::kPsHete || kind == StrategyKind::kPsBackup;
-}
-
-bool IsPReduce(StrategyKind kind) {
-  return kind == StrategyKind::kPReduceConst ||
-         kind == StrategyKind::kPReduceDynamic;
-}
-
 const std::vector<double>& QueueDelayBuckets() {
   static const std::vector<double> buckets = {0.001, 0.003, 0.01, 0.03, 0.1,
                                               0.3,   1.0,   3.0,  10.0, 30.0};
@@ -191,6 +181,10 @@ Status TrainingService::Submit(const JobSpec& spec, int64_t* id) {
     if (spec.min_workers > pool_.size()) {
       return Status::InvalidArgument("min_workers exceeds the pool size");
     }
+  } else {
+    // A sim job runs its config as written, and StartRun aborts the whole
+    // process on a config the validation rejects: refuse it here instead.
+    PR_RETURN_NOT_OK(ValidateRunConfig(spec.config, EngineKind::kSim));
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) {
@@ -377,10 +371,10 @@ void TrainingService::RunJob(Job* job) {
     config.run.ckpt.dir = root + "/job-" + std::to_string(job->id);
   }
   if (!sim) {
-    // Fit the run to the lease. ValidateRunConfig aborts the process on
-    // violations, so the service sanitizes rather than trusting the spec:
-    // the worker count becomes the lease size and every P-Reduce-only
-    // feature is clamped or dropped for other kinds.
+    // Fit the run to the lease. StartRun aborts the process on a config
+    // ValidateRunConfig rejects, so the service sanitizes rather than
+    // trusting the spec: the worker count becomes the lease size and every
+    // P-Reduce-only feature is clamped or dropped for other kinds.
     StrategyOptions& strategy = config.strategy;
     config.run.num_workers = n;
     if (IsPReduce(strategy.kind)) {
@@ -408,7 +402,7 @@ void TrainingService::RunJob(Job* job) {
     auto out_of_lease = [n](int worker) { return worker < 0 || worker >= n; };
     auto& churn = config.run.churn;
     churn.erase(std::remove_if(churn.begin(), churn.end(),
-                               [&](const ThreadedChurnEvent& e) {
+                               [&](const ChurnEvent& e) {
                                  return out_of_lease(e.worker);
                                }),
                 churn.end());

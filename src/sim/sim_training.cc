@@ -13,12 +13,13 @@ namespace pr {
 
 namespace {
 
-/// Global updates that consume the threaded gradient budget (num_workers x
-/// iterations_per_worker) under the strategy's per-update gradient count.
-size_t DerivedUpdateBudget(const RunConfig& config) {
+/// Global updates that consume `iterations` local iterations of every worker
+/// under the strategy's per-update gradient count (nearest, at least one):
+/// the update budget, and the checkpoint period in updates.
+size_t UpdatesForIterations(const RunConfig& config, size_t iterations) {
   const double total_gradients =
       static_cast<double>(config.run.num_workers) *
-      static_cast<double>(config.run.iterations_per_worker);
+      static_cast<double>(iterations);
   double per_update = 1.0;
   switch (config.strategy.kind) {
     case StrategyKind::kAllReduce:
@@ -55,21 +56,17 @@ SimTraining::SimTraining(const RunConfig& config)
   const ThreadedRunOptions& run = config_.run;
   PR_CHECK_GE(run.num_workers, 1);
   PR_CHECK_GE(run.batch_size, 1u);
-  PR_CHECK(run.topology.flat() ||
-           run.topology.num_workers() == run.num_workers)
-      << "topology places " << run.topology.num_workers()
-      << " workers but the run has " << run.num_workers;
   if (config_.sim.max_updates == 0) {
-    config_.sim.max_updates = DerivedUpdateBudget(config_);
+    config_.sim.max_updates =
+        UpdatesForIterations(config_, run.iterations_per_worker);
   }
   // Eagerly registered so flat sim runs expose the same transport.* names
   // as topology-aware ones and as the threaded Endpoint.
   metrics_shard_->GetCounter("transport.inter_node_bytes");
 
   // Chaos scenario: compile the trace against this run's shape and merge
-  // the result into the fault plan before anything reads it. Depart/arrive
-  // windows go to scenario_churn_ for the strategy to schedule in virtual
-  // time (the threaded engine walks the same compiled stream).
+  // the result into the fault plan and the churn schedule before anything
+  // reads them (the threaded engine merges the same compiled stream).
   if (run.scenario.enabled()) {
     CompiledScenario compiled;
     const Status s = CompileScenario(run.scenario, run.num_workers,
@@ -77,7 +74,8 @@ SimTraining::SimTraining(const RunConfig& config)
     PR_CHECK(s.ok()) << "scenario '" << run.scenario.name
                      << "': " << s.message();
     config_.run.fault = std::move(compiled.fault);
-    scenario_churn_ = std::move(compiled.churn);
+    config_.run.churn.insert(config_.run.churn.end(), compiled.churn.begin(),
+                             compiled.churn.end());
   }
 
   SyntheticSpec spec = run.dataset;
@@ -122,6 +120,8 @@ SimTraining::SimTraining(const RunConfig& config)
   if (run.ckpt.enabled()) {
     PR_CHECK(!config_.sim.timing_only)
         << "checkpointing needs real training state to snapshot";
+    ckpt_period_updates_ =
+        UpdatesForIterations(config_, run.ckpt.every_iterations);
     // Eager-register the ckpt.* family so both engines' snapshots carry
     // identical metric names whether or not a cut ever happens.
     ckpt_manifests_counter_ = metrics_shard_->GetCounter("ckpt.manifests_written");
@@ -140,8 +140,10 @@ double SimTraining::SampleComputeSeconds(int worker) {
   double slowdown =
       hetero_->Sample(worker, iteration(worker));
   // Scheduled slowdown faults compound with the ambient heterogeneity: the
-  // factor applies while the worker's iteration sits in the event's window
-  // (the threaded engine scales the injected compute delay the same way).
+  // factor applies while the worker's iteration sits in the event's window.
+  // They also scale the injected straggler delay, as the threaded engine
+  // scales its sleep.
+  double fault_factor = 1.0;
   for (const WorkerFaultEvent& e : config_.run.fault.worker_events) {
     if (e.worker != worker || e.kind != WorkerFaultEvent::Kind::kSlowdown) {
       continue;
@@ -151,9 +153,13 @@ double SimTraining::SampleComputeSeconds(int worker) {
     if (it >= start && (e.slowdown_iterations == 0 ||
                         it < start + e.slowdown_iterations)) {
       slowdown *= e.slowdown_factor;
+      fault_factor *= e.slowdown_factor;
     }
   }
-  return cost_->ComputeSeconds(slowdown);
+  const std::vector<double>& delays = config_.run.worker_delay_seconds;
+  const double delay =
+      delays.empty() ? 0.0 : delays[static_cast<size_t>(worker)] * fault_factor;
+  return cost_->ComputeSeconds(slowdown) + delay;
 }
 
 std::vector<float>& SimTraining::params(int worker) {
@@ -171,10 +177,6 @@ const std::vector<float>& SimTraining::params(int worker) const {
 void SimTraining::TakeSnapshot(int worker) {
   WorkerState& ws = workers_[static_cast<size_t>(worker)];
   ws.snapshot = ws.params;
-}
-
-const std::vector<float>& SimTraining::snapshot(int worker) const {
-  return workers_[static_cast<size_t>(worker)].snapshot;
 }
 
 float SimTraining::GradientAtSnapshot(int worker, std::vector<float>* grad) {
@@ -268,11 +270,9 @@ void SimTraining::ConfigureCheckpoint(const std::string& strategy,
 
 void SimTraining::MaybeCheckpoint() {
   const CheckpointConfig& ckpt = config_.run.ckpt;
-  if (ckpt_fill_ == nullptr || !ckpt.enabled() || ckpt.every_updates == 0) {
-    return;
-  }
-  if (updates_ % ckpt.every_updates != 0) return;
-  const uint64_t epoch = updates_ / ckpt.every_updates;
+  if (ckpt_fill_ == nullptr || ckpt_period_updates_ == 0) return;
+  if (updates_ % ckpt_period_updates_ != 0) return;
+  const uint64_t epoch = updates_ / ckpt_period_updates_;
   if (epoch <= last_ckpt_epoch_) return;  // restored epochs stay final
 
   // The simulator is single-threaded, so the cut is trivially coordinated:

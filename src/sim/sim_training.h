@@ -78,7 +78,7 @@ class SimTraining {
 
   SimEngine* engine() { return &engine_; }
   /// The run's configuration, with the scenario already merged into
-  /// `run.fault`.
+  /// `run.fault` and `run.churn`.
   const RunConfig& config() const { return config_; }
   int num_workers() const { return config_.run.num_workers; }
   const CostModel& cost() const { return *cost_; }
@@ -86,8 +86,9 @@ class SimTraining {
   size_t num_params() const { return model_->NumParams(); }
   Rng* rng() { return &rng_; }
 
-  /// Samples the duration of `worker`'s next local computation (base
-  /// compute time x heterogeneity slowdown).
+  /// Samples the duration of `worker`'s next local computation: base
+  /// compute time x heterogeneity and fault slowdowns, plus the worker's
+  /// `run.worker_delay_seconds` entry scaled by the fault slowdowns.
   double SampleComputeSeconds(int worker);
 
   /// Worker-replica parameter access.
@@ -97,7 +98,6 @@ class SimTraining {
   /// Records the worker's current params as the model version its in-flight
   /// gradient will be computed against (the "read model").
   void TakeSnapshot(int worker);
-  const std::vector<float>& snapshot(int worker) const;
 
   /// Draws the worker's next mini-batch and computes the gradient at its
   /// snapshot. Returns the batch loss (0 in timing-only mode, where the
@@ -129,7 +129,8 @@ class SimTraining {
 
   /// Registers one global update (aggregation event). Triggers periodic
   /// evaluation, stop-condition checks, and — when checkpointing is
-  /// configured — the every-K-updates coordinated cut.
+  /// configured — the periodic coordinated cut (every_iterations mapped
+  /// onto global updates; see CheckpointConfig).
   void RecordUpdate();
   size_t updates() const { return updates_; }
 
@@ -165,13 +166,6 @@ class SimTraining {
   /// worker.<i>.idle_seconds counters.
   double worker_wait_seconds(int worker) const {
     return workers_[static_cast<size_t>(worker)].total_wait;
-  }
-
-  /// The run's compiled scenario churn windows (empty without a scenario).
-  /// The P-Reduce strategy schedules each as a virtual-time leave/rejoin
-  /// pair; partition windows live in config().run.fault.partition_events.
-  const std::vector<ChurnWindow>& scenario_churn() const {
-    return scenario_churn_;
   }
 
   /// Counts a discarded gradient (PS-BK).
@@ -226,7 +220,6 @@ class SimTraining {
   void EvaluateNow();
 
   bool stopped() const { return stopped_; }
-  void Stop() { stopped_ = true; }
 
   /// Builds the result record; finalizes idle accounting at current time.
   SimRunResult BuildResult(const std::string& strategy_name);
@@ -266,7 +259,6 @@ class SimTraining {
   std::unique_ptr<CostModel> cost_;
   std::unique_ptr<HeterogeneityModel> hetero_;
   std::vector<WorkerState> workers_;
-  std::vector<ChurnWindow> scenario_churn_;
   std::unique_ptr<Timeline> timeline_;
   std::function<const float*()> eval_provider_;
   std::vector<float> eval_scratch_;
@@ -274,6 +266,8 @@ class SimTraining {
   /// Checkpoint wiring (see ConfigureCheckpoint / RestoreFromManifest).
   std::string ckpt_strategy_;
   std::function<void(RunManifest*)> ckpt_fill_;
+  /// Global updates between cuts; 0 when checkpointing is off.
+  size_t ckpt_period_updates_ = 0;
   uint64_t last_ckpt_epoch_ = 0;
   std::optional<RunManifest> resume_;
   Counter* ckpt_manifests_counter_ = nullptr;

@@ -25,18 +25,27 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   copts.topology = ctx->config().run.topology;
   copts.hierarchy = options.hierarchy;
   copts.group_cost_budget = options.group_cost_budget;
-  if (!copts.topology.flat()) {
-    PR_CHECK_EQ(copts.topology.num_workers(), ctx->num_workers())
-        << "topology places a different worker count than the run";
-  }
   controller_options_ = copts;
   controller_ = std::make_unique<Controller>(copts);
   controller_->AttachObservers(ctx->metrics(), ctx->trace(),
                                [ctx] { return ctx->engine()->now(); });
 
-  leave_requested_.assign(static_cast<size_t>(ctx->num_workers()), false);
-  active_.assign(static_cast<size_t>(ctx->num_workers()), true);
+  const size_t n = static_cast<size_t>(ctx->num_workers());
+  leave_requested_.assign(n, false);
+  active_.assign(n, true);
   active_count_ = ctx->num_workers();
+  paused_.assign(n, false);
+  churn_.resize(n);
+  local_iterations_.assign(n, 0);
+  for (const ChurnEvent& e : ctx->config().run.churn) {
+    churn_[static_cast<size_t>(e.worker)].push_back(e);
+  }
+  for (std::vector<ChurnEvent>& events : churn_) {
+    std::stable_sort(events.begin(), events.end(),
+                     [](const ChurnEvent& a, const ChurnEvent& b) {
+                       return a.after_iterations > b.after_iterations;
+                     });
+  }
 
   if (options.compression != CompressionKind::kNone) {
     // No AttachMetrics here: RecordReduceTraffic models the compress.*
@@ -124,6 +133,10 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
     rs.history = rm->history;
     rs.next_group_id = rm->next_group_id;
     controller_->Restore(rs);
+    for (const ManifestWorker& mw : rm->workers) {
+      local_iterations_[static_cast<size_t>(mw.worker)] =
+          static_cast<size_t>(mw.completed);
+    }
   }
 }
 
@@ -161,6 +174,34 @@ void PReduceStrategy::ScenarioLeave(int worker) {
   leave_requested_[w] = true;  // takes effect at the gradient boundary
 }
 
+double PReduceStrategy::TakeDueChurn(int worker) {
+  const size_t w = static_cast<size_t>(worker);
+  std::vector<ChurnEvent>& events = churn_[w];
+  double pause = -1.0;
+  for (; !events.empty() &&
+         events.back().after_iterations <= local_iterations_[w];
+       events.pop_back()) {
+    if (events.back().after_iterations == local_iterations_[w]) {
+      pause = std::max(pause, 0.0) + events.back().pause_seconds;
+    }
+  }
+  return pause;
+}
+
+void PReduceStrategy::Depart(int worker, bool paused) {
+  const size_t w = static_cast<size_t>(worker);
+  active_[w] = false;
+  --active_count_;
+  if (paused) {
+    paused_[w] = true;
+    ctx_->trace()->Record(ctx_->engine()->now(), TraceEventKind::kChurnLeave,
+                          worker);
+  }
+  if (!controller_down_) {
+    HandleDecisions(controller_->NotifyWorkerLeft(worker));
+  }
+}
+
 void PReduceStrategy::ScenarioRejoin(int worker) {
   const size_t w = static_cast<size_t>(worker);
   if (crashed_[w]) return;         // a crash outlives any window
@@ -174,6 +215,11 @@ void PReduceStrategy::ScenarioRejoin(int worker) {
   active_[w] = true;
   ++active_count_;
   leave_requested_[w] = false;
+  if (paused_[w]) {
+    paused_[w] = false;
+    ctx_->trace()->Record(ctx_->engine()->now(), TraceEventKind::kChurnRejoin,
+                          worker);
+  }
   if (!controller_down_) {
     HandleDecisions(controller_->NotifyWorkerRejoined(worker));
   }
@@ -251,15 +297,14 @@ void PReduceStrategy::ScalePolicyTick() {
 }
 
 void PReduceStrategy::Start() {
-  // Scenario arrive windows (time 0) hold their workers out before the
-  // first compute event is ever scheduled.
-  for (const ChurnWindow& w : ctx_->scenario_churn()) {
-    const size_t i = static_cast<size_t>(w.worker);
-    if (w.time_seconds <= 0.0 && active_[i]) {
-      active_[i] = false;
-      --active_count_;
-      HandleDecisions(controller_->NotifyWorkerLeft(w.worker));
-    }
+  // Churn windows keyed at the starting iteration (arrive events compile to
+  // iteration 0) hold their workers out before the first compute event is
+  // ever scheduled.
+  for (int w = 0; w < ctx_->num_workers(); ++w) {
+    const double pause = TakeDueChurn(w);
+    if (pause < 0.0) continue;
+    Depart(w, /*paused=*/true);
+    ctx_->engine()->ScheduleAfter(pause, [this, w] { ScenarioRejoin(w); });
   }
   UpdateEffectiveGroupSize();
 
@@ -267,20 +312,6 @@ void PReduceStrategy::Start() {
     if (active_[static_cast<size_t>(w)]) BeginCompute(w);
   }
 
-  // Scenario churn windows become virtual-time leave/rejoin pairs. The
-  // handlers are lenient (generated traces overlap windows freely); the
-  // hand-written schedule below keeps its strict invariants.
-  for (const ChurnWindow& w : ctx_->scenario_churn()) {
-    if (w.time_seconds <= 0.0) {
-      ctx_->engine()->ScheduleAt(w.pause_seconds,
-                                 [this, w] { ScenarioRejoin(w.worker); });
-    } else {
-      ctx_->engine()->ScheduleAt(w.time_seconds,
-                                 [this, w] { ScenarioLeave(w.worker); });
-      ctx_->engine()->ScheduleAt(w.time_seconds + w.pause_seconds,
-                                 [this, w] { ScenarioRejoin(w.worker); });
-    }
-  }
   // A partitioned worker is, in virtual time, a membership loss for the
   // window's duration: its traffic cannot reach the controller or any
   // group, which is exactly what leaving models.
@@ -300,27 +331,6 @@ void PReduceStrategy::Start() {
     ctx_->engine()->ScheduleAfter(
         std::max(1e-6, scale_policy_->config().interval_seconds),
         [this] { ScalePolicyTick(); });
-  }
-
-  // Elastic membership schedule: leaves take effect at the worker's next
-  // gradient boundary; joins resume the worker with its last-held model.
-  for (const ChurnEvent& event : options_.churn) {
-    PR_CHECK_GE(event.worker, 0);
-    PR_CHECK_LT(event.worker, ctx_->num_workers());
-    ctx_->engine()->ScheduleAt(event.time, [this, event] {
-      const size_t w = static_cast<size_t>(event.worker);
-      if (event.leave) {
-        PR_CHECK(active_[w]) << "leave for already-departed worker";
-        leave_requested_[w] = true;
-      } else {
-        PR_CHECK(!active_[w]) << "join for already-active worker";
-        active_[w] = true;
-        ++active_count_;
-        leave_requested_[w] = false;
-        HandleDecisions(controller_->NotifyWorkerRejoined(event.worker));
-        if (!ctx_->stopped()) BeginCompute(event.worker);
-      }
-    });
   }
 }
 
@@ -342,21 +352,19 @@ void PReduceStrategy::OnGradientReady(int worker) {
   ctx_->LocalStep(worker, grad.data());
   ctx_->increment_iteration(worker);
 
-  if (leave_requested_[static_cast<size_t>(worker)]) {
-    // Gradient boundary: this worker departs instead of signaling.
-    leave_requested_[static_cast<size_t>(worker)] = false;
-    active_[static_cast<size_t>(worker)] = false;
-    --active_count_;
-    if (!scenario_mode_) {
-      // Hand-written churn schedules promise this; scenario traces and the
-      // autoscaler legitimately drive the live set below P (that is what
-      // the degradation gates are for).
-      PR_CHECK_GE(active_count_, options_.group_size)
-          << "churn dropped the cluster below the group size";
-    }
-    if (!controller_down_) {
-      HandleDecisions(controller_->NotifyWorkerLeft(worker));
-    }
+  // Gradient boundary: a due churn window or a pending leave request makes
+  // this worker depart instead of signaling. A churn rejoin comes its
+  // pause later in virtual time.
+  const size_t w = static_cast<size_t>(worker);
+  ++local_iterations_[w];
+  const double pause = TakeDueChurn(worker);
+  if (pause >= 0.0) {
+    ctx_->engine()->ScheduleAfter(pause,
+                                  [this, worker] { ScenarioRejoin(worker); });
+  }
+  if (pause >= 0.0 || leave_requested_[w]) {
+    leave_requested_[w] = false;
+    Depart(worker, /*paused=*/pause >= 0.0 || scale_paused_[w]);
     UpdateEffectiveGroupSize();
     return;
   }

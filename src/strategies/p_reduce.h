@@ -54,12 +54,19 @@ class PReduceStrategy : public Strategy {
   void CrashController();
   void RestartController();
 
-  /// Scenario-driven membership changes are *lenient*: a leave for an
-  /// already-absent (or crashed) worker is a no-op, a rejoin for an active
-  /// worker just cancels its pending leave. Generated traces can overlap
-  /// windows; the engines must diverge on none of them.
+  /// Membership changes from churn, partitions and the autoscaler are
+  /// *lenient*: a leave for an already-absent (or crashed) worker is a
+  /// no-op, a rejoin for an active worker just cancels its pending leave.
+  /// Generated traces overlap windows; the engines must diverge on none.
   void ScenarioLeave(int worker);
   void ScenarioRejoin(int worker);
+  /// The threaded worker's run_churn(k): drops `worker`'s windows keyed at
+  /// or below its completed local iterations and returns the summed pause
+  /// of those keyed exactly there (negative when none is).
+  double TakeDueChurn(int worker);
+  /// Takes `worker` out of the pool; a churn or autoscaler pause records
+  /// churn_leave, as the threaded service does.
+  void Depart(int worker, bool paused);
   /// Degradation gate: retargets the controller's effective group size at
   /// clamp(active_count_, min_p_, P) after every membership change.
   void UpdateEffectiveGroupSize();
@@ -82,6 +89,12 @@ class PReduceStrategy : public Strategy {
   std::vector<bool> leave_requested_;
   std::vector<bool> active_;
   int active_count_ = 0;
+  /// Absent on a churn or autoscaler pause, not a partition.
+  std::vector<bool> paused_;
+  /// Each worker's pending run.churn windows, next one last, and its
+  /// completed local iterations: the key they fire on (not DYN's counter).
+  std::vector<std::vector<ChurnEvent>> churn_;
+  std::vector<size_t> local_iterations_;
 
   // --- Fault mirroring (see ThreadedRunOptions::fault) ---
   std::vector<bool> crashed_;
@@ -113,8 +126,8 @@ class PReduceStrategy : public Strategy {
 
   // --- Scenario replay + autoscaling + graceful degradation ---
   /// True when the run carries a scenario, a scale policy, or degradation
-  /// gates; relaxes the membership invariants deep churn legitimately
-  /// violates (never set for hand-written churn schedules).
+  /// gates: registers the scenario.* family and arms the degradation
+  /// release of signals no group can drain.
   bool scenario_mode_ = false;
   /// Smallest group size the degradation gate may shrink to (== group_size
   /// when the gate is off, so the clamp is a no-op).

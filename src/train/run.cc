@@ -69,7 +69,8 @@ RunOutcome RunSimEngine(const RunConfig& config, const RunManifest* resume,
 
 RunOutcome Run(const RunConfig& config, EngineKind engine,
                const RunManifest* resume, const std::string& resume_dir) {
-  ValidateRunConfig(config, engine);
+  const Status valid = ValidateRunConfig(config, engine);
+  PR_CHECK(valid.ok()) << valid.message();
   switch (engine) {
     case EngineKind::kThreaded:
       return RunThreadedEngine(config, resume, resume_dir);

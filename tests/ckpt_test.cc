@@ -238,7 +238,7 @@ RunConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
   config.sim.accuracy_threshold = -1.0;
   config.run.seed = 5;
   config.run.ckpt.dir = dir;
-  config.run.ckpt.every_updates = 10;
+  config.run.ckpt.every_iterations = 5;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -268,6 +268,30 @@ TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
   EXPECT_EQ(a.metrics.counter("controller.groups_formed"),
             b.metrics.counter("controller.groups_formed"));
   EXPECT_EQ(a.metrics.counter("ckpt.restore_count"), 1.0);
+}
+
+TEST(CkptRestoreTest, SimCutsEveryIterationsWorthOfUpdates) {
+  CkptDir dir("sim_period");
+  const RunConfig config =
+      SmallSimConfig(StrategyKind::kPReduceConst, dir.path());
+  // 5 iterations x 6 workers / 3 gradients per group = a cut every 10
+  // updates; the run stops at 40, so cuts land at 10, 20 and 30.
+  SimRunResult full = StartRun(config, EngineKind::kSim).sim;
+  EXPECT_EQ(full.metrics.counter("ckpt.manifests_written"), 3.0);
+
+  RunManifest latest;
+  std::string manifest_path;
+  ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
+  EXPECT_EQ(latest.epoch, 3u);
+  EXPECT_EQ(latest.updates_done, 30u);
+
+  SimRunResult a = ResumeRun(config, EngineKind::kSim, manifest_path).sim;
+  SimRunResult b = ResumeRun(config, EngineKind::kSim, manifest_path).sim;
+  EXPECT_EQ(a.updates, 40u);
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  ASSERT_FALSE(a.curve.empty());
+  ASSERT_EQ(a.curve.size(), b.curve.size());
+  EXPECT_EQ(a.curve.back().loss, b.curve.back().loss);
 }
 
 TEST(CkptRestoreTest, SimAllReduceCheckpoints) {

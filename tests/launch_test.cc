@@ -259,6 +259,17 @@ TEST(ConfigIoTest, RejectsGarbage) {
   EXPECT_EQ(parsed.run.num_workers, 5);
 }
 
+TEST(ConfigIoTest, RejectsTheRetiredUpdateCheckpointPeriod) {
+  // The checkpoint period is run.ckpt.every_iterations on both engines.
+  RunConfig parsed;
+  const Status s =
+      ParseRunConfig("prconfig 1\nrun.ckpt.every_updates 10\n", &parsed);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("unknown key 'run.ckpt.every_updates'"),
+            std::string::npos)
+      << s.message();
+}
+
 TEST(ConfigIoTest, SaveLoadFile) {
   TempDir dir("cfg");
   const std::string path = dir.path + "/run.conf";

@@ -104,6 +104,89 @@ TEST(StartRunTest, SimRunsTheOneWorkerBaseline) {
   EXPECT_EQ(StartRun(config, EngineKind::kSim).sync_rounds, 6u);
 }
 
+// Checks that hold for both engines alike.
+
+TEST(StartRunDeathTest, RejectsADelayCountOtherThanTheWorkerCount) {
+  RunConfig config = SmallConfig();
+  config.run.worker_delay_seconds = {0.0, 0.01};  // three workers
+  for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
+    EXPECT_DEATH(StartRun(config, engine), "worker_delay_seconds has 2")
+        << EngineKindName(engine);
+  }
+}
+
+TEST(StartRunDeathTest, RejectsChurnForAWorkerOutOfRange) {
+  RunConfig config = SmallConfig();
+  config.run.churn.push_back({/*worker=*/3, /*after_iterations=*/2, 0.01});
+  for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
+    EXPECT_DEATH(StartRun(config, engine), "churn worker 3 out of range")
+        << EngineKindName(engine);
+  }
+}
+
+TEST(StartRunDeathTest, RejectsANegativeChurnPause) {
+  RunConfig config = SmallConfig();
+  config.run.churn.push_back({/*worker=*/1, /*after_iterations=*/2, -0.5});
+  for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
+    EXPECT_DEATH(StartRun(config, engine), "pause_seconds must be >= 0")
+        << EngineKindName(engine);
+  }
+}
+
+// The simulator honours the run fields the threads read: churn, the
+// straggler delay and the checkpoint period mean one thing on both clocks.
+
+TEST(SimRunFieldsTest, ChurnMovesTheRun) {
+  RunConfig config = SmallConfig();
+  const RunOutcome steady = StartRun(config, EngineKind::kSim);
+  config.run.churn.push_back({/*worker=*/1, /*after_iterations=*/2,
+                              /*pause_seconds=*/0.5});
+  const RunOutcome churned = StartRun(config, EngineKind::kSim);
+  EXPECT_TRUE(churned.final_loss != steady.final_loss ||
+              churned.clock_seconds != steady.clock_seconds);
+  EXPECT_EQ(churned.sync_rounds, steady.sync_rounds);
+}
+
+TEST(SimRunFieldsTest, StragglerDelayLengthensTheClock) {
+  for (StrategyKind kind :
+       {StrategyKind::kPReduceConst, StrategyKind::kAllReduce}) {
+    RunConfig config = SmallConfig();
+    config.strategy.kind = kind;
+    const double steady = StartRun(config, EngineKind::kSim).clock_seconds;
+    // Worker 2 takes twice the base compute time per gradient.
+    const double compute =
+        CostModel(LookupPaperModel(config.sim.paper_model), config.sim.cost)
+            .ComputeSeconds(1.0);
+    config.run.worker_delay_seconds = {0.0, 0.0, compute};
+    EXPECT_GT(StartRun(config, EngineKind::kSim).clock_seconds, steady)
+        << StrategyKindName(kind);
+  }
+}
+
+TEST(ChurnTraceTest, BothEnginesRecordOneLeaveAndOneRejoin) {
+  RunConfig config = SmallConfig();
+  config.run.trace_capacity = 4096;
+  config.run.churn.push_back({/*worker=*/1, /*after_iterations=*/2,
+                              /*pause_seconds=*/0.02});
+  for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
+    const RunOutcome outcome = StartRun(config, engine);
+    ASSERT_EQ(outcome.trace.dropped, 0u) << EngineKindName(engine);
+    int leaves = 0;
+    int rejoins = 0;
+    for (const TraceEvent& e : outcome.trace.events) {
+      if (e.kind == TraceEventKind::kChurnLeave) {
+        EXPECT_EQ(e.worker, 1) << EngineKindName(engine);
+        ++leaves;
+      } else if (e.kind == TraceEventKind::kChurnRejoin) {
+        EXPECT_EQ(e.worker, 1) << EngineKindName(engine);
+        ++rejoins;
+      }
+    }
+    EXPECT_EQ(leaves, 1) << EngineKindName(engine);
+    EXPECT_EQ(rejoins, 1) << EngineKindName(engine);
+  }
+}
+
 TEST(ResumeRunTest, ThreadedResumeContinuesFromManifest) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pr_facade_resume").string();

@@ -255,9 +255,9 @@ TEST(ThreadedRuntimeTest, ElasticWorkerPausesAndRejoins) {
   // Worker 1 leaves the pool mid-run, naps, and rejoins through
   // Controller::NotifyWorkerRejoined — the run must finish every budget.
   ThreadedRunOptions opt = SmallOptions();
-  opt.churn.push_back(ThreadedChurnEvent{/*worker=*/1,
-                                         /*after_iterations=*/5,
-                                         /*pause_seconds=*/0.02});
+  opt.churn.push_back(ChurnEvent{/*worker=*/1,
+                                 /*after_iterations=*/5,
+                                 /*pause_seconds=*/0.02});
   ThreadedRunResult result =
       RunPair(Strat(StrategyKind::kPReduceConst), opt);
   for (size_t iters : result.worker_iterations) EXPECT_EQ(iters, 30u);

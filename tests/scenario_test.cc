@@ -214,7 +214,7 @@ TEST(ScenarioCompileTest, ReferenceTraceExpandsNodeEventsAndCounts) {
   // One lone departure plus the whole last node (workers 2 and 3).
   ASSERT_EQ(compiled.churn.size(), 3u);
   std::vector<int> churn_workers;
-  for (const ChurnWindow& w : compiled.churn) {
+  for (const ChurnEvent& w : compiled.churn) {
     churn_workers.push_back(w.worker);
   }
   EXPECT_EQ(churn_workers, (std::vector<int>{1, 2, 3}));

@@ -403,6 +403,21 @@ TEST(ServiceTest, SubmitValidatesSpecs) {
   EXPECT_FALSE(service.Cancel(404).ok());
 }
 
+TEST(ServiceTest, SubmitRejectsASimJobTheRunWouldRefuse) {
+  ServiceOptions options;
+  options.pool_size = 2;
+  TrainingService service(options);
+  JobSpec spec = SmallThreadedJob("t");
+  spec.engine = EngineKind::kSim;
+  spec.config.strategy.kind = StrategyKind::kAllReduce;
+  spec.config.strategy.hierarchy.enabled = true;  // a P-Reduce feature
+  int64_t id = 0;
+  const Status s = service.Submit(spec, &id);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("hierarchical"), std::string::npos)
+      << s.message();
+}
+
 TEST(ServiceHandleTest, JsonControlSurface) {
   ServiceOptions options;
   options.pool_size = 2;

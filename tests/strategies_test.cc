@@ -184,8 +184,8 @@ TEST(ElasticMembershipTest, LeaveAndRejoinKeepsTrainingConverging) {
   config.run.num_workers = 6;
   config.strategy.group_size = 2;
   // Worker 5 leaves early and rejoins later with its (stale) model.
-  config.strategy.churn = {{2.0, 5, /*leave=*/true},
-                           {30.0, 5, /*leave=*/false}};
+  config.run.churn = {{/*worker=*/5, /*after_iterations=*/10,
+                       /*pause_seconds=*/28.0}};
   SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
 }
@@ -194,7 +194,8 @@ TEST(ElasticMembershipTest, PermanentDeparturesStillConverge) {
   RunConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
   config.run.num_workers = 6;
   config.strategy.group_size = 2;
-  config.strategy.churn = {{1.0, 4, true}, {3.0, 5, true}};
+  // Pauses longer than the whole run: the workers never come back.
+  config.run.churn = {{4, 5, 1e6}, {5, 16, 1e6}};
   SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged);
 }
@@ -204,7 +205,7 @@ TEST(ElasticMembershipTest, TimingOnlyChurnKeepsCadence) {
       TimingConfig(StrategyKind::kPReduceConst, 6, HeteroSpec::Homogeneous(),
                    400);
   config.strategy.group_size = 2;
-  config.strategy.churn = {{10.0, 0, true}, {40.0, 0, false}};
+  config.run.churn = {{0, 27, 30.0}};
   SimRunResult result = RunSim(config);
   EXPECT_EQ(result.updates, 400u);
 }
