@@ -26,6 +26,7 @@ Controller::Controller(const ControllerOptions& options)
                ResolveWindow(options)),
       matrix_expectation_(static_cast<size_t>(options.num_workers)) {
   departed_.assign(static_cast<size_t>(options.num_workers), false);
+  queued_.assign(static_cast<size_t>(options.num_workers), false);
   PR_CHECK_GE(options.num_workers, 2);
   PR_CHECK_GE(options.group_size, 2);
   PR_CHECK_LE(options.group_size, options.num_workers);
@@ -79,7 +80,7 @@ bool Controller::IntraNodeGroupPossible() const {
 }
 
 bool Controller::QueueSpansComponents() const {
-  const SyncGraph graph = history_.BuildSyncGraph();
+  const SyncGraph& graph = history_.BuildSyncGraph();
   const int first = graph.ComponentOf(pending_.front().worker);
   for (const ReadySignal& s : pending_) {
     if (graph.ComponentOf(s.worker) != first) return true;
@@ -88,7 +89,7 @@ bool Controller::QueueSpansComponents() const {
 }
 
 bool Controller::BridgeEventuallyPossible() const {
-  const SyncGraph graph = history_.BuildSyncGraph();
+  const SyncGraph& graph = history_.BuildSyncGraph();
   const int first = graph.ComponentOf(pending_.front().worker);
   for (int w = 0; w < options_.num_workers; ++w) {
     if (!departed_[static_cast<size_t>(w)] &&
@@ -105,6 +106,10 @@ std::vector<GroupDecision> Controller::OnReadySignal(int worker,
   PR_CHECK_LT(worker, options_.num_workers);
   PR_CHECK(!departed_[static_cast<size_t>(worker)])
       << "worker " << worker << " signaled after leaving";
+  // One outstanding signal per worker: the group filter relies on it.
+  PR_CHECK(!queued_[static_cast<size_t>(worker)])
+      << "duplicate ready signal from worker " << worker;
+  queued_[static_cast<size_t>(worker)] = true;
   pending_.push_back(ReadySignal{worker, iteration});
   ++stats_.signals_received;
   if (signals_counter_ != nullptr) {
@@ -195,7 +200,7 @@ std::vector<GroupDecision> Controller::TryFormGroups() {
                    ? GroupSelectMode::kCrossNode
                    : GroupSelectMode::kIntraNode;
       }
-      selection = filter_.Select(pending_, history_, mode);
+      selection = filter_.Select(pending_, history_, frozen, mode);
       if (selection.queue_positions.empty()) {
         // Locality hold: some node can fill a group but none has yet. Every
         // live worker signals (or departs) eventually, and held signals
@@ -215,9 +220,12 @@ std::vector<GroupDecision> Controller::TryFormGroups() {
     GroupDecision decision;
     decision.group_id = next_group_id_++;
     decision.bridged = selection.bridged;
+    decision.members.reserve(p);
+    decision.iterations.reserve(p);
     for (size_t pos : selection.queue_positions) {
       decision.members.push_back(pending_[pos].worker);
       decision.iterations.push_back(pending_[pos].iteration);
+      queued_[static_cast<size_t>(pending_[pos].worker)] = false;
     }
     // Remove selected signals from the queue, highest position first so
     // earlier indices stay valid.
@@ -284,6 +292,7 @@ size_t Controller::PurgePending(int worker) {
                                   return s.worker == worker;
                                 }),
                  pending_.end());
+  queued_[static_cast<size_t>(worker)] = false;
   return before - pending_.size();
 }
 
@@ -295,6 +304,7 @@ std::vector<GroupDecision> Controller::EvictWorker(int worker) {
 std::vector<ReadySignal> Controller::DrainPending() {
   std::vector<ReadySignal> out(pending_.begin(), pending_.end());
   pending_.clear();
+  std::fill(queued_.begin(), queued_.end(), false);
   return out;
 }
 

@@ -90,6 +90,10 @@ struct ControllerStats {
 /// model parameters or gradients — exactly the paper's point that it is not
 /// a parameter-server-style bottleneck.
 ///
+/// Cost: the window sync-graph is rebuilt at most once per formed group
+/// (O(T·P + N)); the signals in between read the cached graph, so a signal
+/// that forms no group costs O(queue + N) at most.
+///
 /// Not thread-safe; callers serialize access (the runtime's server thread
 /// owns it).
 class Controller {
@@ -194,6 +198,9 @@ class Controller {
   /// degradation gate shrank it).
   int effective_group_size_ = 0;
   std::vector<bool> departed_;
+  /// Per-worker "has a signal in pending_" bit, kept in step with every
+  /// push and erase; rejects a second outstanding signal in O(1).
+  std::vector<bool> queued_;
   GroupFilter filter_;
   GroupHistory history_;
   std::deque<ReadySignal> pending_;

@@ -2,34 +2,48 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
 
 namespace pr {
+namespace {
+
+// Chosen queue positions are kept as a small sorted vector (at most
+// group_size entries).
+bool IsChosen(const std::vector<size_t>& chosen, size_t pos) {
+  return std::binary_search(chosen.begin(), chosen.end(), pos);
+}
+
+void Choose(std::vector<size_t>* chosen, size_t pos) {
+  chosen->insert(std::upper_bound(chosen->begin(), chosen->end(), pos), pos);
+}
+
+// FIFO fill: the oldest unchosen positions after the anchor until the
+// group is full.
+void FillFifo(size_t pending, size_t group_size, std::vector<size_t>* chosen) {
+  for (size_t pos = 1; pos < pending && chosen->size() < group_size; ++pos) {
+    if (!IsChosen(*chosen, pos)) Choose(chosen, pos);
+  }
+}
+
+}  // namespace
 
 GroupFilter::GroupFilter(size_t group_size, Topology topology,
                          double cost_budget)
     : group_size_(group_size),
       topology_(std::move(topology)),
-      cost_budget_(cost_budget) {
+      cost_budget_(cost_budget),
+      per_node_(static_cast<size_t>(topology_.num_nodes()), 0) {
   PR_CHECK_GE(group_size, 2u);
+  covered_components_.reserve(group_size);
+  ring_members_.reserve(group_size);
 }
 
 GroupSelection GroupFilter::Select(const std::deque<ReadySignal>& pending,
-                                   const GroupHistory& history,
-                                   GroupSelectMode mode) const {
+                                   const GroupHistory& history, bool frozen,
+                                   GroupSelectMode mode) {
   PR_CHECK_GE(pending.size(), group_size_);
-  // Workers must be distinct: one outstanding signal per worker.
-  {
-    std::unordered_set<int> seen;
-    for (const ReadySignal& s : pending) {
-      PR_CHECK(seen.insert(s.worker).second)
-          << "duplicate ready signal from worker " << s.worker;
-    }
-  }
 
   // Bridging outranks placement for the default and merge policies: a
   // frozen sync graph is a convergence hazard (paper §4), a costly ring
@@ -38,7 +52,7 @@ GroupSelection GroupFilter::Select(const std::deque<ReadySignal>& pending,
   // design* and the scheduled cross-node merges are the bridge, so letting
   // frozen hijack every intra step would collapse the hierarchy back into
   // the flat schedule.
-  if (history.IsFrozen() && mode != GroupSelectMode::kIntraNode) {
+  if (frozen && mode != GroupSelectMode::kIntraNode) {
     return SelectBridging(pending, history);
   }
 
@@ -55,6 +69,7 @@ GroupSelection GroupFilter::Select(const std::deque<ReadySignal>& pending,
 
   // Plain FIFO: the P oldest signals.
   GroupSelection selection;
+  selection.queue_positions.reserve(group_size_);
   for (size_t i = 0; i < group_size_; ++i) {
     selection.queue_positions.push_back(i);
   }
@@ -72,22 +87,22 @@ GroupSelection GroupFilter::Select(const std::deque<ReadySignal>& pending,
 }
 
 GroupSelection GroupFilter::SelectBridging(
-    const std::deque<ReadySignal>& pending, const GroupHistory& history) const {
+    const std::deque<ReadySignal>& pending, const GroupHistory& history) {
   // Frozen: bridge components. Anchor on the oldest signal, then prefer
   // signals whose workers live in components not yet covered by the group;
   // fill any remainder in FIFO order.
-  const SyncGraph graph = history.BuildSyncGraph();
-  std::unordered_set<int> covered_components;
-  std::unordered_set<size_t> chosen;
-  std::vector<int> members;
-
-  auto choose = [&](size_t pos) {
-    chosen.insert(pos);
-    members.push_back(pending[pos].worker);
-    covered_components.insert(graph.ComponentOf(pending[pos].worker));
+  const SyncGraph& graph = history.BuildSyncGraph();
+  GroupSelection selection;
+  std::vector<size_t>& chosen = selection.queue_positions;
+  chosen.reserve(group_size_);
+  covered_components_.clear();
+  auto covered = [&](int comp) {
+    return std::find(covered_components_.begin(), covered_components_.end(),
+                     comp) != covered_components_.end();
   };
 
-  choose(0);
+  chosen.push_back(0);
+  covered_components_.push_back(graph.ComponentOf(pending[0].worker));
   // Greedy pass: new components first. Flat topologies take FIFO order; on a
   // non-flat topology each round takes the uncovered-component candidate
   // with the cheapest link to the members already chosen (FIFO on ties), so
@@ -96,16 +111,16 @@ GroupSelection GroupFilter::SelectBridging(
     size_t best_pos = pending.size();
     double best_cost = std::numeric_limits<double>::infinity();
     for (size_t pos = 1; pos < pending.size(); ++pos) {
-      if (chosen.count(pos) != 0) continue;
-      const int comp = graph.ComponentOf(pending[pos].worker);
-      if (covered_components.count(comp) != 0) continue;
-      double cost = 1.0;
-      if (!topology_.flat()) {
-        cost = std::numeric_limits<double>::infinity();
-        for (int member : members) {
-          cost = std::min(cost,
-                          topology_.LinkCost(member, pending[pos].worker));
-        }
+      if (IsChosen(chosen, pos)) continue;
+      if (covered(graph.ComponentOf(pending[pos].worker))) continue;
+      if (topology_.flat()) {
+        best_pos = pos;  // every link costs the same: FIFO wins
+        break;
+      }
+      double cost = std::numeric_limits<double>::infinity();
+      for (size_t member : chosen) {
+        cost = std::min(cost, topology_.LinkCost(pending[member].worker,
+                                                 pending[pos].worker));
       }
       if (cost < best_cost) {
         best_cost = cost;
@@ -113,39 +128,34 @@ GroupSelection GroupFilter::SelectBridging(
       }
     }
     if (best_pos == pending.size()) break;  // No uncovered component queued.
-    choose(best_pos);
+    Choose(&chosen, best_pos);
+    covered_components_.push_back(
+        graph.ComponentOf(pending[best_pos].worker));
   }
   // Fill pass: FIFO order for the remainder.
-  for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
-       ++pos) {
-    if (chosen.count(pos) == 0) choose(pos);
-  }
+  FillFifo(pending.size(), group_size_, &chosen);
   PR_CHECK_EQ(chosen.size(), group_size_);
-
-  GroupSelection selection;
-  selection.bridged = covered_components.size() > 1;
-  selection.queue_positions.assign(chosen.begin(), chosen.end());
-  std::sort(selection.queue_positions.begin(),
-            selection.queue_positions.end());
+  selection.bridged = covered_components_.size() > 1;
   return selection;
 }
 
 GroupSelection GroupFilter::SelectIntraNode(
-    const std::deque<ReadySignal>& pending) const {
+    const std::deque<ReadySignal>& pending) {
   // Node-complete or nothing: an intra-node group only pays off when its
   // ring never leaves the node, so take the first (FIFO by anchor) node
   // with group_size signals queued and select its oldest group_size
   // members. An empty selection tells the controller to hold — a mixed
   // fill here would degenerate to the flat schedule (the first group_size
   // finishers are scattered across nodes almost surely).
-  std::unordered_map<int, size_t> queued_per_node;
+  std::fill(per_node_.begin(), per_node_.end(), 0);
   for (const ReadySignal& s : pending) {
-    ++queued_per_node[topology_.NodeOf(s.worker)];
+    ++per_node_[static_cast<size_t>(topology_.NodeOf(s.worker))];
   }
   for (size_t anchor = 0; anchor < pending.size(); ++anchor) {
     const int node = topology_.NodeOf(pending[anchor].worker);
-    if (queued_per_node[node] < group_size_) continue;
+    if (per_node_[static_cast<size_t>(node)] < group_size_) continue;
     GroupSelection selection;
+    selection.queue_positions.reserve(group_size_);
     for (size_t pos = anchor;
          pos < pending.size() &&
          selection.queue_positions.size() < group_size_;
@@ -165,59 +175,53 @@ GroupSelection GroupFilter::SelectNodeBiased(
   // FIFO order, then fill FIFO. Cheapest ring available without starving the
   // queue head — used to repair over-budget FIFO picks, so it always
   // returns a full group.
-  std::unordered_set<size_t> chosen;
-  chosen.insert(0);
+  GroupSelection selection;
+  std::vector<size_t>& chosen = selection.queue_positions;
+  chosen.reserve(group_size_);
+  chosen.push_back(0);
   const int anchor_node = topology_.NodeOf(pending[0].worker);
   for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
        ++pos) {
     if (topology_.NodeOf(pending[pos].worker) == anchor_node) {
-      chosen.insert(pos);
+      chosen.push_back(pos);
     }
   }
-  for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
-       ++pos) {
-    chosen.insert(pos);
-  }
-  GroupSelection selection;
-  selection.queue_positions.assign(chosen.begin(), chosen.end());
-  std::sort(selection.queue_positions.begin(),
-            selection.queue_positions.end());
+  FillFifo(pending.size(), group_size_, &chosen);
   return selection;
 }
 
 GroupSelection GroupFilter::SelectCrossNode(
-    const std::deque<ReadySignal>& pending) const {
+    const std::deque<ReadySignal>& pending) {
   // Anchor on the oldest signal; greedily cover as many distinct nodes as
   // the queue offers (FIFO within the pass), then fill FIFO. The merge group
   // deliberately spans nodes so it bridges the intra-node cliques.
-  std::unordered_set<size_t> chosen;
-  std::unordered_set<int> covered_nodes;
-  chosen.insert(0);
-  covered_nodes.insert(topology_.NodeOf(pending[0].worker));
-  for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
-       ++pos) {
-    const int node = topology_.NodeOf(pending[pos].worker);
-    if (covered_nodes.insert(node).second) chosen.insert(pos);
-  }
-  for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
-       ++pos) {
-    chosen.insert(pos);
-  }
+  // per_node_ marks the covered nodes here.
+  std::fill(per_node_.begin(), per_node_.end(), 0);
   GroupSelection selection;
-  selection.queue_positions.assign(chosen.begin(), chosen.end());
-  std::sort(selection.queue_positions.begin(),
-            selection.queue_positions.end());
+  std::vector<size_t>& chosen = selection.queue_positions;
+  chosen.reserve(group_size_);
+  chosen.push_back(0);
+  per_node_[static_cast<size_t>(topology_.NodeOf(pending[0].worker))] = 1;
+  for (size_t pos = 1; pos < pending.size() && chosen.size() < group_size_;
+       ++pos) {
+    size_t& covered = per_node_[static_cast<size_t>(
+        topology_.NodeOf(pending[pos].worker))];
+    if (covered == 0) {
+      covered = 1;
+      chosen.push_back(pos);
+    }
+  }
+  FillFifo(pending.size(), group_size_, &chosen);
   return selection;
 }
 
 double GroupFilter::SelectionRingCost(const std::deque<ReadySignal>& pending,
-                                      const GroupSelection& selection) const {
-  std::vector<int> members;
-  members.reserve(selection.queue_positions.size());
+                                      const GroupSelection& selection) {
+  ring_members_.clear();
   for (size_t pos : selection.queue_positions) {
-    members.push_back(pending[pos].worker);
+    ring_members_.push_back(pending[pos].worker);
   }
-  return topology_.RingCost(members);
+  return topology_.RingCost(ring_members_);
 }
 
 }  // namespace pr

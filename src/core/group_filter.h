@@ -60,8 +60,10 @@ class GroupFilter {
 
   /// Selects a group from `pending` given `history`. Requires
   /// pending.size() >= group_size. Workers in `pending` must be distinct
-  /// (each worker has at most one outstanding signal). A frozen history
-  /// always takes precedence over `mode`: bridging the sync graph outranks
+  /// (each worker has at most one outstanding signal; the controller
+  /// enforces this as signals arrive). `frozen` is history.IsFrozen(),
+  /// evaluated once by the caller per decision. A frozen history always
+  /// takes precedence over `mode`: bridging the sync graph outranks
   /// placement preferences.
   ///
   /// kIntraNode is the only mode that may return an *empty* selection: it
@@ -69,24 +71,32 @@ class GroupFilter {
   /// node), and an empty result tells the caller to hold until one fills.
   /// The caller is responsible for falling back to kCrossNode when no node
   /// can ever muster group_size live workers.
+  ///
+  /// Allocates nothing but the returned positions: the per-call scratch is
+  /// kept in the filter.
   GroupSelection Select(const std::deque<ReadySignal>& pending,
-                        const GroupHistory& history,
-                        GroupSelectMode mode = GroupSelectMode::kDefault) const;
+                        const GroupHistory& history, bool frozen,
+                        GroupSelectMode mode = GroupSelectMode::kDefault);
 
   size_t group_size() const { return group_size_; }
 
  private:
   GroupSelection SelectBridging(const std::deque<ReadySignal>& pending,
-                                const GroupHistory& history) const;
-  GroupSelection SelectIntraNode(const std::deque<ReadySignal>& pending) const;
+                                const GroupHistory& history);
+  GroupSelection SelectIntraNode(const std::deque<ReadySignal>& pending);
   GroupSelection SelectNodeBiased(const std::deque<ReadySignal>& pending) const;
-  GroupSelection SelectCrossNode(const std::deque<ReadySignal>& pending) const;
+  GroupSelection SelectCrossNode(const std::deque<ReadySignal>& pending);
   double SelectionRingCost(const std::deque<ReadySignal>& pending,
-                           const GroupSelection& selection) const;
+                           const GroupSelection& selection);
 
   size_t group_size_;
   Topology topology_;
   double cost_budget_;
+  // Per-call scratch, sized once: per-node counts (or covered flags)
+  // indexed by node, the components a bridge covers, ring members.
+  std::vector<size_t> per_node_;
+  std::vector<int> covered_components_;
+  std::vector<int> ring_members_;
 };
 
 }  // namespace pr

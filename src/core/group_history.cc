@@ -5,7 +5,7 @@
 namespace pr {
 
 GroupHistory::GroupHistory(size_t num_workers, size_t window)
-    : num_workers_(num_workers), window_(window) {
+    : num_workers_(num_workers), window_(window), graph_(num_workers) {
   PR_CHECK_GE(num_workers, 1u);
   PR_CHECK_GE(window, 1u);
 }
@@ -25,12 +25,17 @@ void GroupHistory::Record(const std::vector<int>& group) {
   }
   groups_.push_back(group);
   while (groups_.size() > window_) groups_.pop_front();
+  graph_stale_ = true;
 }
 
-SyncGraph GroupHistory::BuildSyncGraph() const {
-  SyncGraph graph(num_workers_);
-  for (const auto& group : groups_) graph.AddGroup(group);
-  return graph;
+const SyncGraph& GroupHistory::BuildSyncGraph() const {
+  if (graph_stale_) {
+    graph_.Reset();
+    for (const auto& group : groups_) graph_.AddGroup(group);
+    graph_.Flatten();
+    graph_stale_ = false;
+  }
+  return graph_;
 }
 
 bool GroupHistory::IsFrozen() const {

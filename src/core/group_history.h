@@ -16,6 +16,11 @@ namespace pr {
 /// sync-graph of the last T groups and checks connectivity. T defaults to
 /// ceil((N-1)/(P-1)), the minimum number of P-groups whose edges can span N
 /// workers (paper §4, "Group frozen avoidance").
+///
+/// The window's sync-graph is cached: Record invalidates it and the first
+/// query after that rebuilds it in O(T·P + N), so every query between two
+/// formed groups reads the same flattened graph. Not thread-safe (the
+/// controller that owns it serializes access).
 class GroupHistory {
  public:
   /// `window` is T; must be >= 1.
@@ -35,8 +40,10 @@ class GroupHistory {
   /// connectivity test is vacuous and frozen detection is disabled).
   bool Full() const { return groups_.size() >= window_; }
 
-  /// Builds the sync-graph over the windowed groups.
-  SyncGraph BuildSyncGraph() const;
+  /// The sync-graph over the windowed groups, rebuilt (and flattened) on
+  /// the first call after a Record; the reference stays valid until the
+  /// next Record.
+  const SyncGraph& BuildSyncGraph() const;
 
   /// Frozen = window full AND sync-graph disconnected.
   bool IsFrozen() const;
@@ -47,6 +54,10 @@ class GroupHistory {
   size_t num_workers_;
   size_t window_;
   std::deque<std::vector<int>> groups_;
+  // Lazily rebuilt window graph; mutable because rebuilding it does not
+  // change what the history holds.
+  mutable SyncGraph graph_;
+  mutable bool graph_stale_ = true;
 };
 
 }  // namespace pr

@@ -1,5 +1,7 @@
 #include "core/sync_graph.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace pr {
@@ -8,10 +10,31 @@ SyncGraph::SyncGraph(size_t num_workers)
     : parent_(num_workers), rank_(num_workers, 0),
       num_components_(num_workers) {
   PR_CHECK_GE(num_workers, 1u);
-  for (size_t i = 0; i < num_workers; ++i) parent_[i] = static_cast<int>(i);
+  Reset();
+}
+
+void SyncGraph::Reset() {
+  for (size_t i = 0; i < parent_.size(); ++i) parent_[i] = static_cast<int>(i);
+  std::fill(rank_.begin(), rank_.end(), 0);
+  num_components_ = parent_.size();
+}
+
+void SyncGraph::Flatten() {
+  for (size_t i = 0; i < parent_.size(); ++i) {
+    parent_[i] = FindCompress(static_cast<int>(i));
+  }
 }
 
 int SyncGraph::Find(int x) const {
+  PR_CHECK_GE(x, 0);
+  PR_CHECK_LT(static_cast<size_t>(x), parent_.size());
+  while (parent_[static_cast<size_t>(x)] != x) {
+    x = parent_[static_cast<size_t>(x)];
+  }
+  return x;
+}
+
+int SyncGraph::FindCompress(int x) {
   PR_CHECK_GE(x, 0);
   PR_CHECK_LT(static_cast<size_t>(x), parent_.size());
   while (parent_[static_cast<size_t>(x)] != x) {
@@ -24,8 +47,8 @@ int SyncGraph::Find(int x) const {
 }
 
 void SyncGraph::AddEdge(int a, int b) {
-  int ra = Find(a);
-  int rb = Find(b);
+  int ra = FindCompress(a);
+  int rb = FindCompress(b);
   if (ra == rb) return;
   if (rank_[static_cast<size_t>(ra)] < rank_[static_cast<size_t>(rb)]) {
     std::swap(ra, rb);

@@ -25,13 +25,21 @@ class SyncGraph {
   /// Unions two workers directly.
   void AddEdge(int a, int b);
 
+  /// Back to N singleton components, keeping the storage.
+  void Reset();
+
+  /// Points every worker straight at its root, so each later query is one
+  /// read until the next AddEdge.
+  void Flatten();
+
   /// True when all workers are in one component.
   bool IsConnected() const;
 
   size_t NumComponents() const;
 
   /// Representative component id (root) for `worker`; ids are stable within
-  /// one SyncGraph instance but arbitrary across instances.
+  /// one SyncGraph instance but arbitrary across instances. A pure read:
+  /// walks to the root without compressing (one step after Flatten).
   int ComponentOf(int worker) const;
 
   /// Groups worker ids by component.
@@ -39,10 +47,10 @@ class SyncGraph {
 
  private:
   int Find(int x) const;
+  /// Find with path halving; only the mutating AddEdge compresses.
+  int FindCompress(int x);
 
-  // `parent_` uses path halving; mutable so Find can compress in const
-  // queries.
-  mutable std::vector<int> parent_;
+  std::vector<int> parent_;
   std::vector<int> rank_;
   size_t num_components_;
 };

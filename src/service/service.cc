@@ -53,13 +53,15 @@ const char* JobStateName(JobState state) {
       return "cancelled";
     case JobState::kEvicted:
       return "evicted";
+    case JobState::kFailed:
+      return "failed";
   }
   return "unknown";
 }
 
 bool IsTerminalJobState(JobState state) {
   return state == JobState::kCompleted || state == JobState::kCancelled ||
-         state == JobState::kEvicted;
+         state == JobState::kEvicted || state == JobState::kFailed;
 }
 
 JsonValue JobStatusToJsonValue(const JobStatus& status) {
@@ -81,6 +83,9 @@ JsonValue JobStatusToJsonValue(const JobStatus& status) {
   out.Set("final_loss", JsonValue::MakeNumber(status.final_loss));
   out.Set("sync_rounds",
           JsonValue::MakeNumber(static_cast<double>(status.sync_rounds)));
+  if (!status.error.empty()) {
+    out.Set("error", JsonValue::MakeString(status.error));
+  }
   return out;
 }
 
@@ -105,6 +110,7 @@ struct TrainingService::Job {
   std::thread runner;
   RunOutcome outcome;
   bool has_outcome = false;
+  std::string error;  ///< validation message of a kFailed job
 };
 
 TrainingService::TrainingService(ServiceOptions options)
@@ -415,25 +421,34 @@ void TrainingService::RunJob(Job* job) {
     config.run.control = job->control;
   }
 
+  // Fitting clamps what it knows about, but a fitted threaded config can
+  // still be one StartRun aborts the process on (a P-Reduce-only option on
+  // another kind, a topology sized for another worker count): the job
+  // fails instead. Sim configs were validated at Submit.
+  const Status valid =
+      sim ? Status::OK() : ValidateRunConfig(config, EngineKind::kThreaded);
+
   RunOutcome outcome;
   bool ran = false;
-  std::unique_ptr<WorkerLauncher> launcher = pool_.MakeLauncher(
-      job->lease, job->shard, [this] { return NowSeconds(); });
-  if (sim) {
-    // The whole simulation is one pool task; the runner just waits.
-    launcher->Launch(0, [&] {
-      outcome = StartRun(config, EngineKind::kSim);
+  if (valid.ok()) {
+    std::unique_ptr<WorkerLauncher> launcher = pool_.MakeLauncher(
+        job->lease, job->shard, [this] { return NowSeconds(); });
+    if (sim) {
+      // The whole simulation is one pool task; the runner just waits.
+      launcher->Launch(0, [&] {
+        outcome = StartRun(config, EngineKind::kSim);
+        ran = true;
+      });
+      launcher->JoinAll();
+    } else {
+      // Worker bodies run on the leased agents; the strategy's service
+      // loop (controller / PS server) runs inline right here on the runner
+      // thread.
+      config.run.launcher = launcher.get();
+      outcome = StartRun(config, EngineKind::kThreaded);
       ran = true;
-    });
-    launcher->JoinAll();
-  } else {
-    // Worker bodies run on the leased agents; the strategy's service loop
-    // (controller / PS server) runs inline right here on the runner thread.
-    config.run.launcher = launcher.get();
-    outcome = StartRun(config, EngineKind::kThreaded);
-    ran = true;
+    }
   }
-  launcher.reset();
   pool_.Release(job->lease);
 
   {
@@ -441,7 +456,10 @@ void TrainingService::RunJob(Job* job) {
     job->outcome = std::move(outcome);
     job->has_outcome = ran;
     job->finish_seconds = NowSeconds();
-    if (job->evicted) {
+    if (!valid.ok()) {
+      job->state = JobState::kFailed;
+      job->error = valid.message();
+    } else if (job->evicted) {
       job->state = JobState::kEvicted;
     } else if (job->control->cancel_requested() || job->control->aborted()) {
       job->state = JobState::kCancelled;
@@ -510,6 +528,7 @@ JobStatus TrainingService::StatusOfLocked(const Job& job) const {
     s.final_loss = job.outcome.final_loss;
     s.sync_rounds = job.outcome.sync_rounds;
   }
+  s.error = job.error;
   return s;
 }
 

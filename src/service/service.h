@@ -26,8 +26,11 @@ namespace pr {
 ///      |             |---------> kCancelled   (Cancel(); P-Reduce drains
 ///      |             |                         cooperatively, others are
 ///      |             |                         aborted after the grace)
-///      |             '---------> kEvicted     (liveness monitor declared
-///      |                                       the run hung and aborted it)
+///      |             |---------> kEvicted     (liveness monitor declared
+///      |             |                         the run hung and aborted it)
+///      |             '---------> kFailed      (the config fitted to the
+///      |                                       lease failed validation;
+///      |                                       the run never started)
 ///      '---------------------> kCancelled     (cancelled while queued)
 enum class JobState {
   kQueued,
@@ -35,6 +38,7 @@ enum class JobState {
   kCompleted,
   kCancelled,
   kEvicted,
+  kFailed,
 };
 
 const char* JobStateName(JobState state);
@@ -91,6 +95,8 @@ struct JobStatus {
   double final_accuracy = 0.0;
   double final_loss = 0.0;
   uint64_t sync_rounds = 0;
+  /// Why a kFailed job failed (empty otherwise).
+  std::string error;
 };
 
 JsonValue JobStatusToJsonValue(const JobStatus& status);

@@ -62,7 +62,11 @@ SimTraining::SimTraining(const RunConfig& config)
   }
   // Eagerly registered so flat sim runs expose the same transport.* names
   // as topology-aware ones and as the threaded Endpoint.
-  metrics_shard_->GetCounter("transport.inter_node_bytes");
+  inter_node_bytes_ =
+      metrics_shard_->GetCounter("transport.inter_node_bytes");
+  bytes_sent_ = metrics_shard_->GetCounter("transport.bytes_sent");
+  bytes_received_ = metrics_shard_->GetCounter("transport.bytes_received");
+  payload_copies_ = metrics_shard_->GetCounter("transport.payload_copies");
 
   // Chaos scenario: compile the trace against this run's shape and merge
   // the result into the fault plan and the churn schedule before anything
@@ -435,8 +439,7 @@ void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
   }
   if (cross_edges > 0) {
     const double per_edge = bytes / static_cast<double>(members.size());
-    metrics_shard_->GetCounter("transport.inter_node_bytes")
-        ->Increment(per_edge * static_cast<double>(cross_edges));
+    inter_node_bytes_->Increment(per_edge * static_cast<double>(cross_edges));
   }
 }
 
@@ -474,20 +477,25 @@ double SimTraining::AccountReduceTraffic(size_t p, CompressionKind kind) {
     const double encodes = 2.0 * static_cast<double>(p - 1);
     const double in_bytes = raw_per_circulation * encodes;
     const double out_bytes = per_circulation * encodes;
-    metrics_shard_->GetCounter("compress.bytes_in")->Increment(in_bytes);
-    metrics_shard_->GetCounter("compress.bytes_out")->Increment(out_bytes);
+    if (compress_bytes_in_ == nullptr) {
+      compress_bytes_in_ = metrics_shard_->GetCounter("compress.bytes_in");
+      compress_bytes_out_ = metrics_shard_->GetCounter("compress.bytes_out");
+    }
+    compress_bytes_in_->Increment(in_bytes);
+    compress_bytes_out_->Increment(out_bytes);
     compress_in_total_ += in_bytes;
     compress_out_total_ += out_bytes;
     if (compress_out_total_ > 0.0) {
-      metrics_shard_->GetGauge("compress.ratio")
-          ->Set(compress_in_total_ / compress_out_total_);
+      if (compress_ratio_ == nullptr) {
+        compress_ratio_ = metrics_shard_->GetGauge("compress.ratio");
+      }
+      compress_ratio_->Set(compress_in_total_ / compress_out_total_);
     }
   }
   const double bytes = 2.0 * one_way;
-  metrics_shard_->GetCounter("transport.bytes_sent")->Increment(bytes);
-  metrics_shard_->GetCounter("transport.bytes_received")->Increment(bytes);
-  metrics_shard_->GetCounter("transport.payload_copies")
-      ->Increment(static_cast<double>(p));
+  bytes_sent_->Increment(bytes);
+  bytes_received_->Increment(bytes);
+  payload_copies_->Increment(static_cast<double>(p));
   return bytes;
 }
 

@@ -287,6 +287,16 @@ class SimTraining {
   /// Running totals behind the compress.ratio gauge (compressed runs only).
   double compress_in_total_ = 0.0;
   double compress_out_total_ = 0.0;
+  /// Traffic instruments, resolved once: transport.* at construction,
+  /// compress.* on the first compressed reduce (so uncompressed runs do
+  /// not register them).
+  Counter* bytes_sent_ = nullptr;
+  Counter* bytes_received_ = nullptr;
+  Counter* payload_copies_ = nullptr;
+  Counter* inter_node_bytes_ = nullptr;
+  Counter* compress_bytes_in_ = nullptr;
+  Counter* compress_bytes_out_ = nullptr;
+  Gauge* compress_ratio_ = nullptr;
 };
 
 }  // namespace pr

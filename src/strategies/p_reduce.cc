@@ -347,9 +347,8 @@ void PReduceStrategy::BeginCompute(int worker) {
 
 void PReduceStrategy::OnGradientReady(int worker) {
   // Alg. 2 lines 3-5: local update, then signal the controller.
-  std::vector<float> grad;
-  ctx_->GradientAtSnapshot(worker, &grad);
-  ctx_->LocalStep(worker, grad.data());
+  ctx_->GradientAtSnapshot(worker, &grad_scratch_);
+  ctx_->LocalStep(worker, grad_scratch_.data());
   ctx_->increment_iteration(worker);
 
   // Gradient boundary: a due churn window or a pending leave request makes
@@ -447,9 +446,8 @@ void PReduceStrategy::OnSignalArrival(int worker) {
       controller_->OnReadySignal(worker, ctx_->iteration(worker)));
 }
 
-void PReduceStrategy::HandleDecisions(
-    const std::vector<GroupDecision>& decisions) {
-  for (const GroupDecision& decision : decisions) {
+void PReduceStrategy::HandleDecisions(std::vector<GroupDecision> decisions) {
+  for (GroupDecision& decision : decisions) {
     // A member with an armed mid-group crash kills the whole reduce: the
     // survivors stall on its chunks until the controller's lease verdict
     // aborts the group (the threaded engine's recovery path, in virtual
@@ -512,7 +510,7 @@ void PReduceStrategy::HandleDecisions(
                            ctx_->engine()->now() + comm);
     }
     ctx_->engine()->ScheduleAfter(
-        comm, [this, d = decision] { OnGroupReduceDone(d); });
+        comm, [this, d = std::move(decision)] { OnGroupReduceDone(d); });
   }
 }
 
@@ -538,8 +536,8 @@ void PReduceStrategy::OnGroupAborted(const GroupDecision& decision,
 }
 
 void PReduceStrategy::OnGroupReduceDone(const GroupDecision& decision) {
-  std::vector<float*> models;
-  models.reserve(decision.members.size());
+  std::vector<float*>& models = reduce_ptrs_;
+  models.clear();
   for (int m : decision.members) models.push_back(ctx_->params(m).data());
   if (!compressors_.empty()) {
     // Compression emulation: each member's model passes through its own

@@ -37,7 +37,7 @@ class PReduceStrategy : public Strategy {
   void OnGroupReduceDone(const GroupDecision& decision);
   void OnGroupAborted(const GroupDecision& decision,
                       const std::vector<int>& crashed);
-  void HandleDecisions(const std::vector<GroupDecision>& decisions);
+  void HandleDecisions(std::vector<GroupDecision> decisions);
   /// Lease-horizon eviction of a crashed worker (mirrors the threaded
   /// controller's FailureDetector verdict in virtual time).
   void EvictNow(int worker);
@@ -146,6 +146,12 @@ class PReduceStrategy : public Strategy {
   Counter* scale_shrink_ = nullptr;
   Counter* degrade_small_groups_ = nullptr;
   Counter* degrade_local_steps_ = nullptr;
+
+  // Hot-path scratch reused across events (the simulator is
+  // single-threaded): one gradient buffer for OnGradientReady and the
+  // member pointer list for OnGroupReduceDone.
+  std::vector<float> grad_scratch_;
+  std::vector<float*> reduce_ptrs_;
 };
 
 }  // namespace pr

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "core/controller.h"
@@ -270,6 +273,146 @@ TEST(ControllerTest, GroupSizeEqualsNBehavesLikeAllReduce) {
   }
   // rho of the all-reduce matrix is 0.
   EXPECT_NEAR(SpectralRho(c.ExpectedSyncMatrix()), 0.0, 1e-10);
+}
+
+// FNV-1a over the decision stream: any change to a group's id, members,
+// weights or bridged flag changes the hash.
+struct DecisionStreamHash {
+  uint64_t value = 14695981039346656037ull;
+  uint64_t groups = 0;
+  uint64_t bridged = 0;
+
+  void Mix(const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      value ^= bytes[i];
+      value *= 1099511628211ull;
+    }
+  }
+  void Add(const std::vector<GroupDecision>& decisions) {
+    for (const GroupDecision& d : decisions) {
+      Mix(&d.group_id, sizeof(d.group_id));
+      const uint64_t size = d.members.size();
+      Mix(&size, sizeof(size));
+      Mix(d.members.data(), d.members.size() * sizeof(int));
+      Mix(d.weights.data(), d.weights.size() * sizeof(double));
+      const unsigned char b = d.bridged ? 1 : 0;
+      Mix(&b, 1);
+      ++groups;
+      bridged += b;
+    }
+  }
+};
+
+/// Straggler-shaped worker loop around a controller: each live worker
+/// computes for a seeded duration (every `straggler_every`-th worker is 3x
+/// slower), signals, and waits for its group; a formed group's members go
+/// back to compute after a fixed reduce time. With `churn`, one worker
+/// departs every 300 signals (evicted if its signal is queued, notified
+/// otherwise) and rejoins 120 signals later. Stops after `target_groups`.
+DecisionStreamHash DriveStragglerStream(Controller* c, uint64_t seed,
+                                        int straggler_every, bool churn,
+                                        uint64_t target_groups) {
+  const int n = c->options().num_workers;
+  Rng rng(seed);
+  DecisionStreamHash hash;
+  std::vector<bool> queued(static_cast<size_t>(n), false);
+  std::vector<bool> departed(static_cast<size_t>(n), false);
+  std::vector<uint64_t> epoch(static_cast<size_t>(n), 0);
+  using Event = std::tuple<double, int, uint64_t>;  // time, worker, epoch
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  auto compute = [&](int w, double at) {
+    const bool straggler = w % straggler_every == straggler_every - 1;
+    const double base = straggler ? 3.0 : 1.0;
+    events.emplace(at + base * rng.Uniform(0.8, 1.2), w,
+                   epoch[static_cast<size_t>(w)]);
+  };
+  double now = 0.0;
+  auto apply = [&](const std::vector<GroupDecision>& decisions) {
+    hash.Add(decisions);
+    for (const GroupDecision& d : decisions) {
+      for (int m : d.members) {
+        queued[static_cast<size_t>(m)] = false;
+        compute(m, now + 0.1);
+      }
+    }
+  };
+  for (int w = 0; w < n; ++w) compute(w, 0.0);
+
+  std::vector<std::pair<uint64_t, int>> rejoins;  // (at signal, worker)
+  uint64_t signals = 0;
+  while (hash.groups < target_groups && !events.empty()) {
+    const auto [t, w, e] = events.top();
+    events.pop();
+    const size_t wi = static_cast<size_t>(w);
+    if (e != epoch[wi] || departed[wi]) continue;  // stale compute event
+    now = t;
+    ++signals;
+    queued[wi] = true;
+    apply(c->OnReadySignal(w, static_cast<int64_t>(signals)));
+
+    if (!churn) continue;
+    if (signals % 300 == 0) {
+      const int v = static_cast<int>((signals / 300 * 11) %
+                                     static_cast<uint64_t>(n));
+      const size_t vi = static_cast<size_t>(v);
+      if (!departed[vi]) {
+        departed[vi] = true;
+        ++epoch[vi];
+        if (queued[vi]) {
+          queued[vi] = false;
+          apply(c->EvictWorker(v));
+        } else {
+          apply(c->NotifyWorkerLeft(v));
+        }
+        rejoins.emplace_back(signals + 120, v);
+      }
+    }
+    for (auto it = rejoins.begin(); it != rejoins.end();) {
+      if (it->first != signals) {
+        ++it;
+        continue;
+      }
+      const int v = it->second;
+      departed[static_cast<size_t>(v)] = false;
+      apply(c->NotifyWorkerRejoined(v));
+      compute(v, now);
+      it = rejoins.erase(it);
+    }
+  }
+  return hash;
+}
+
+TEST(ControllerTest, DecisionStreamGolden) {
+  // Hashes recorded before the controller's graph cache and allocation-free
+  // filter landed: those are pure speedups and must not move a decision.
+  {
+    // The sim-scale controller: N=256, P=4, 32 nodes of 8, two-level.
+    ControllerOptions opt = BasicOptions(256, 4);
+    opt.topology = Topology::Uniform(32, 8);
+    opt.hierarchy.enabled = true;
+    Controller c(opt);
+    const DecisionStreamHash h =
+        DriveStragglerStream(&c, /*seed=*/17, /*straggler_every=*/8,
+                             /*churn=*/false, /*target_groups=*/4000);
+    EXPECT_EQ(h.groups, 4000u);
+    EXPECT_GT(c.stats().cross_node_groups, 0u);
+    EXPECT_GT(c.stats().intra_node_groups, 0u);
+    EXPECT_EQ(h.value, 0x8eb7311a71745e89ull) << std::hex << h.value;
+  }
+  {
+    // Flat N=64, P=3, dynamic weights, frozen avoidance and departures.
+    ControllerOptions opt = BasicOptions(64, 3);
+    opt.mode = PartialReduceMode::kDynamic;
+    Controller c(opt);
+    const DecisionStreamHash h =
+        DriveStragglerStream(&c, /*seed=*/29, /*straggler_every=*/4,
+                             /*churn=*/true, /*target_groups=*/3000);
+    EXPECT_EQ(h.groups, 3000u);
+    EXPECT_GT(h.bridged, 0u);
+    EXPECT_GT(c.stats().frozen_detections, 0u);
+    EXPECT_EQ(h.value, 0xb4fa69f6b3e4a913ull) << std::hex << h.value;
+  }
 }
 
 ControllerOptions HierOptions(int cross_period) {

@@ -14,7 +14,8 @@ std::deque<ReadySignal> MakeQueue(const std::vector<int>& workers) {
 TEST(GroupFilterTest, FifoWhenHealthy) {
   GroupFilter filter(3);
   GroupHistory history(8, 4);  // empty -> not frozen
-  auto selection = filter.Select(MakeQueue({5, 2, 7, 1}), history);
+  auto selection =
+      filter.Select(MakeQueue({5, 2, 7, 1}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1, 2}));
   EXPECT_FALSE(selection.bridged);
 }
@@ -25,7 +26,8 @@ TEST(GroupFilterTest, FifoWhenWindowConnected) {
   history.Record({0, 1});
   history.Record({1, 2});
   history.Record({2, 3});
-  auto selection = filter.Select(MakeQueue({0, 1, 2}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1, 2}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
   EXPECT_FALSE(selection.bridged);
 }
@@ -41,7 +43,8 @@ TEST(GroupFilterTest, BridgesAcrossComponentsWhenFrozen) {
 
   // FIFO would pick {0, 1} (same component); the filter must bridge to
   // worker 2 further down the queue.
-  auto selection = filter.Select(MakeQueue({0, 1, 2}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1, 2}), history, history.IsFrozen());
   EXPECT_TRUE(selection.bridged);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 2}));
 }
@@ -55,7 +58,8 @@ TEST(GroupFilterTest, FrozenButNoCrossComponentSignalFallsBackToFifo) {
   ASSERT_TRUE(history.IsFrozen());
 
   // Only component-{0,1} members are waiting: liveness beats bridging.
-  auto selection = filter.Select(MakeQueue({0, 1}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1}), history, history.IsFrozen());
   EXPECT_FALSE(selection.bridged);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
 }
@@ -69,7 +73,8 @@ TEST(GroupFilterTest, BridgePrefersEarliestCrossComponentSignal) {
   ASSERT_TRUE(history.IsFrozen());
 
   // Queue: 0 (comp A), 1 (comp A), 2 (comp B), 4 (comp C).
-  auto selection = filter.Select(MakeQueue({0, 1, 2, 4}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1, 2, 4}), history, history.IsFrozen());
   EXPECT_TRUE(selection.bridged);
   // Anchor 0, then earliest new-component signal: position 2 (worker 2).
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 2}));
@@ -83,7 +88,8 @@ TEST(GroupFilterTest, LargerGroupCoversMultipleComponents) {
   history.Record({4, 5});
   ASSERT_TRUE(history.IsFrozen());
 
-  auto selection = filter.Select(MakeQueue({0, 1, 2, 4}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1, 2, 4}), history, history.IsFrozen());
   EXPECT_TRUE(selection.bridged);
   // Anchor 0 (comp A), then 2 (comp B), then 4 (comp C).
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 2, 3}));
@@ -98,7 +104,8 @@ TEST(GroupFilterTest, FillsWithFifoAfterCoveringComponents) {
 
   // Components {0,1} and {2,3}; queue 0,1,2. Anchor 0, bridge 2 (pos 2),
   // fill with 1 (pos 1).
-  auto selection = filter.Select(MakeQueue({0, 1, 2}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 1, 2}), history, history.IsFrozen());
   EXPECT_TRUE(selection.bridged);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1, 2}));
 }
@@ -116,21 +123,24 @@ TEST(GroupFilterTopologyTest, TightBudgetRejectsCrossNodeFifoPick) {
   // the filter repairs toward node 0's co-residents instead.
   GroupFilter filter(2, TwoNodesOfThree(), /*cost_budget=*/4.0);
   GroupHistory history(6, 4);
-  auto selection = filter.Select(MakeQueue({0, 3, 1, 4}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 3, 1, 4}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 2}));
 }
 
 TEST(GroupFilterTopologyTest, LooseBudgetKeepsFifoPick) {
   GroupFilter filter(2, TwoNodesOfThree(), /*cost_budget=*/100.0);
   GroupHistory history(6, 4);
-  auto selection = filter.Select(MakeQueue({0, 3, 1, 4}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 3, 1, 4}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
 }
 
 TEST(GroupFilterTopologyTest, NoBudgetMeansPlainFifo) {
   GroupFilter filter(2, TwoNodesOfThree());
   GroupHistory history(6, 4);
-  auto selection = filter.Select(MakeQueue({0, 3, 1, 4}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 3, 1, 4}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
 }
 
@@ -139,7 +149,8 @@ TEST(GroupFilterTopologyTest, BudgetRepairNeverStallsWhenNoCheaperRing) {
   // over-budget FIFO pick stands — liveness over thrift.
   GroupFilter filter(2, TwoNodesOfThree(), /*cost_budget=*/4.0);
   GroupHistory history(6, 4);
-  auto selection = filter.Select(MakeQueue({0, 3}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 3}), history, history.IsFrozen());
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
 }
 
@@ -149,6 +160,7 @@ TEST(GroupFilterTopologyTest, IntraNodeModeRequiresNodeCompleteGroup) {
   // Node 1 has all three members queued; node 0 only two. The filter skips
   // the earlier partial node and selects node 1's complement.
   auto selection = filter.Select(MakeQueue({0, 3, 1, 4, 5}), history,
+                                 history.IsFrozen(),
                                  GroupSelectMode::kIntraNode);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{1, 3, 4}));
 }
@@ -158,6 +170,7 @@ TEST(GroupFilterTopologyTest, IntraNodeModeHoldsWhenNoNodeIsComplete) {
   GroupHistory history(6, 4);
   // Three signals queued but from both nodes: hold (empty selection).
   auto selection = filter.Select(MakeQueue({0, 3, 1, 4}), history,
+                                 history.IsFrozen(),
                                  GroupSelectMode::kIntraNode);
   EXPECT_TRUE(selection.queue_positions.empty());
 }
@@ -168,6 +181,7 @@ TEST(GroupFilterTopologyTest, CrossNodeModeCoversNodesFirst) {
   // FIFO would take {0, 1} (same node); the merge pass prefers covering a
   // second node: {0, 3}.
   auto selection = filter.Select(MakeQueue({0, 1, 2, 3}), history,
+                                 history.IsFrozen(),
                                  GroupSelectMode::kCrossNode);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 3}));
 }
@@ -176,6 +190,7 @@ TEST(GroupFilterTopologyTest, CrossNodeModeFillsFifoWhenOneNodeQueued) {
   GroupFilter filter(2, TwoNodesOfThree());
   GroupHistory history(6, 4);
   auto selection = filter.Select(MakeQueue({0, 1, 2}), history,
+                                 history.IsFrozen(),
                                  GroupSelectMode::kCrossNode);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1}));
 }
@@ -190,7 +205,8 @@ TEST(GroupFilterTopologyTest, FrozenBridgePrefersCheapLinks) {
   history.Record({0, 1});
   history.Record({0, 1});
   ASSERT_TRUE(history.IsFrozen());
-  auto selection = filter.Select(MakeQueue({0, 5, 2}), history);
+  auto selection =
+      filter.Select(MakeQueue({0, 5, 2}), history, history.IsFrozen());
   EXPECT_TRUE(selection.bridged);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 2}));
 }
@@ -205,6 +221,7 @@ TEST(GroupFilterTopologyTest, FrozenBridgeSkippedInIntraNodeMode) {
   history.Record({0, 1, 2});
   ASSERT_TRUE(history.IsFrozen());
   auto selection = filter.Select(MakeQueue({0, 1, 2, 3}), history,
+                                 history.IsFrozen(),
                                  GroupSelectMode::kIntraNode);
   EXPECT_FALSE(selection.bridged);
   EXPECT_EQ(selection.queue_positions, (std::vector<size_t>{0, 1, 2}));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "core/controller.h"
 #include "core/group_history.h"
 
 namespace pr {
@@ -71,6 +73,52 @@ TEST(GroupHistoryTest, SyncGraphReflectsWindowOnly) {
   EXPECT_TRUE(h.BuildSyncGraph().IsConnected());
   h.Record({0, 1});  // evicts the connecting group
   EXPECT_FALSE(h.BuildSyncGraph().IsConnected());
+}
+
+// The cached graph must answer exactly like a graph built from scratch.
+void ExpectMatchesRebuild(const GroupHistory& h, size_t n) {
+  SyncGraph fresh(n);
+  for (const std::vector<int>& g : h.groups()) fresh.AddGroup(g);
+  const SyncGraph& cached = h.BuildSyncGraph();
+  EXPECT_EQ(cached.NumComponents(), fresh.NumComponents());
+  for (size_t w = 0; w < n; ++w) {
+    EXPECT_EQ(cached.ComponentOf(static_cast<int>(w)),
+              fresh.ComponentOf(static_cast<int>(w)))
+        << "worker " << w;
+  }
+  EXPECT_EQ(h.IsFrozen(), h.Full() && !fresh.IsConnected());
+}
+
+std::vector<int> RandomGroup(Rng* rng, size_t n) {
+  std::vector<size_t> picks =
+      rng->SampleWithoutReplacement(n, 2 + rng->UniformInt(3));
+  return std::vector<int>(picks.begin(), picks.end());
+}
+
+TEST(GroupHistoryTest, CachedGraphMatchesRebuild) {
+  constexpr size_t kN = 12;
+  GroupHistory h(kN, 4);
+  Rng rng(5);
+  ExpectMatchesRebuild(h, kN);
+  for (int i = 0; i < 60; ++i) {
+    h.Record(RandomGroup(&rng, kN));  // evicts from the 5th record on
+    // Query on most records, skip some so several Records stack up.
+    if (i % 3 != 2) ExpectMatchesRebuild(h, kN);
+  }
+  // The reference stays the same object between Records.
+  EXPECT_EQ(&h.BuildSyncGraph(), &h.BuildSyncGraph());
+
+  // Restore seeds the history of a controller that already formed groups.
+  ControllerOptions opt;
+  opt.num_workers = static_cast<int>(kN);
+  opt.group_size = 3;
+  Controller c(opt);
+  for (int w = 0; w < 9; ++w) c.OnReadySignal(w, 1);
+  ExpectMatchesRebuild(c.history(), kN);
+  ControllerRestoreState state;
+  for (int i = 0; i < 3; ++i) state.history.push_back(RandomGroup(&rng, kN));
+  c.Restore(state);
+  ExpectMatchesRebuild(c.history(), kN);
 }
 
 }  // namespace

@@ -418,6 +418,32 @@ TEST(ServiceTest, SubmitRejectsASimJobTheRunWouldRefuse) {
       << s.message();
 }
 
+TEST(ServiceTest, ThreadedJobTheRunWouldRefuseEndsFailed) {
+  ServiceOptions options;
+  options.pool_size = 2;
+  TrainingService service(options);
+  JobSpec spec = SmallThreadedJob("t");
+  spec.config.strategy.kind = StrategyKind::kAllReduce;
+  spec.config.strategy.hierarchy.enabled = true;  // a P-Reduce feature
+  int64_t bad = 0;
+  ASSERT_TRUE(service.Submit(spec, &bad).ok());
+  int64_t good = 0;
+  ASSERT_TRUE(service.Submit(SmallThreadedJob("t"), &good).ok());
+  service.Drain();
+
+  const JobStatus failed = MustInspect(&service, bad);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_NE(failed.error.find("hierarchical"), std::string::npos)
+      << failed.error;
+  EXPECT_EQ(JobStatusToJsonValue(failed).Find("error")->string_value(),
+            failed.error);
+  EXPECT_EQ(MustInspect(&service, good).state, JobState::kCompleted);
+  EXPECT_EQ(service.pool().free_slots(), 2);
+  const MetricsSnapshot snapshot = service.Snapshot();
+  EXPECT_DOUBLE_EQ(snapshot.counter("service.jobs_failed"), 1.0);
+  EXPECT_DOUBLE_EQ(snapshot.counter("service.jobs_completed"), 1.0);
+}
+
 TEST(ServiceHandleTest, JsonControlSurface) {
   ServiceOptions options;
   options.pool_size = 2;

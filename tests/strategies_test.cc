@@ -183,11 +183,28 @@ TEST(ElasticMembershipTest, LeaveAndRejoinKeepsTrainingConverging) {
   RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   config.run.num_workers = 6;
   config.strategy.group_size = 2;
-  // Worker 5 leaves early and rejoins later with its (stale) model.
-  config.run.churn = {{/*worker=*/5, /*after_iterations=*/10,
-                       /*pause_seconds=*/28.0}};
+  config.run.trace_capacity = 1 << 16;
+  // Worker 5 leaves early and rejoins mid-run with its (stale) model; the
+  // run meets its threshold a few seconds in, well after the rejoin.
+  config.run.churn = {{/*worker=*/5, /*after_iterations=*/3,
+                       /*pause_seconds=*/1.0}};
   SimRunResult result = RunSim(config);
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
+  ASSERT_EQ(result.trace.dropped, 0u);
+  double left_at = -1.0;
+  double rejoined_at = -1.0;
+  int signals_after_rejoin = 0;
+  for (const TraceEvent& e : result.trace.events) {
+    if (e.worker != 5) continue;
+    if (e.kind == TraceEventKind::kChurnLeave) left_at = e.time;
+    if (e.kind == TraceEventKind::kChurnRejoin) rejoined_at = e.time;
+    if (e.kind == TraceEventKind::kSignalEnqueued && rejoined_at >= 0.0) {
+      ++signals_after_rejoin;
+    }
+  }
+  EXPECT_GE(left_at, 0.0) << "worker 5 never left";
+  EXPECT_GT(rejoined_at, left_at) << "worker 5 never rejoined";
+  EXPECT_GT(signals_after_rejoin, 0) << "worker 5 never trained again";
 }
 
 TEST(ElasticMembershipTest, PermanentDeparturesStillConverge) {
